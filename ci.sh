@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Local CI: the same gate .github/workflows/ci.yml runs, for offline use.
+# CI gates: .github/workflows/ci.yml runs exactly this script; run it
+# locally (offline) to reproduce CI.
 set -eu
 
 cd "$(dirname "$0")"
@@ -18,8 +19,8 @@ cargo run --release -p carat-bench --bin exp_bench -- --emit --sequential --out 
 cmp "${TMPDIR:-/tmp}/sweep_par.json" "${TMPDIR:-/tmp}/sweep_seq.json"
 echo "== sweep determinism gate (acceleration on)"
 # Accelerated solves must also be byte-identical across thread counts.
-cargo run --release -p carat-bench --bin exp_bench -- --emit --accel aitken --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
-cargo run --release -p carat-bench --bin exp_bench -- --emit --accel aitken --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
+cargo run --release -p carat-bench --bin exp_bench -- --emit --accel anderson --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
+cargo run --release -p carat-bench --bin exp_bench -- --emit --accel anderson --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 cmp "${TMPDIR:-/tmp}/sweep_acc_par.json" "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 echo "== solver iteration regression gate"
 # Plain per-point counts within +10% of the pinned reference; accelerated

@@ -6,11 +6,9 @@
 //!   the n sweep) cold-sequential, warm-sequential, cold-parallel and
 //!   warm-parallel, verifies that every variant renders byte-identical
 //!   canonical JSON where it must, times the solver-variant matrix
-//!   (acceleration off/Aitken/Anderson × exact/Linearizer MVA × 1/N
-//!   threads), checks the Linearizer fast path against exact MVA on every
-//!   reference point, and writes everything — including per-worker pool
-//!   telemetry and per-point accelerated iteration counts — to
-//!   `BENCH_sweep.json`; then runs the **simulator section**: the
+//!   (acceleration off/Anderson × 1/N threads), and writes everything —
+//!   including per-worker pool telemetry and per-point accelerated
+//!   iteration counts — to `BENCH_sweep.json`; then runs the **simulator section**: the
 //!   reference LB8/MB8 sweep timed for events/sec against the recorded
 //!   pre-fast-path baseline (written to `BENCH_sim.json`) plus a
 //!   parallel-vs-sequential replication determinism check and two
@@ -20,10 +18,10 @@
 //!   null-message ratio recorded from the shard telemetry);
 //! * **emit** (`--emit [--out PATH]`): solves the same model grid
 //!   honouring the engine flags (`--threads N`, `--sequential`,
-//!   `--no-warm`) and the solver flags (`--accel off|aitken|anderson[:m]`,
-//!   `--mva exact|schweitzer|linearizer`) and writes the canonical JSON
-//!   result rows. CI runs this twice — `--threads 4` and `--sequential`,
-//!   with and without acceleration — and byte-compares the files;
+//!   `--no-warm`) and the solver flag (`--accel off|anderson`) and writes
+//!   the canonical JSON result rows. CI runs this twice — `--threads 4`
+//!   and `--sequential`, with and without acceleration — and
+//!   byte-compares the files;
 //! * **emit-sim** (`--emit-sim [--reps R] [--shards K] [--out PATH]`):
 //!   runs R replications of every reference sim point on the
 //!   deterministic pool and writes the canonical replicated JSON. CI
@@ -31,14 +29,14 @@
 //!   values against each other;
 //! * **check-iters** (`--check-iters`): iteration-count regression gate —
 //!   resolves the grid cold and fails if any reference point needs more
-//!   than 110% of its recorded cold iteration count, or if either
-//!   acceleration mode saves less than 30% of the total.
+//!   than 110% of its recorded cold iteration count, or if Anderson
+//!   acceleration saves less than 30% of the total.
 //!
 //! Wall-clock numbers vary run to run; the JSON *result rows* may not.
 
 use std::time::Instant;
 
-use carat::model::{Accel, ModelConfig, ModelOptions, MvaAlgo};
+use carat::model::{Accel, ModelConfig, ModelOptions};
 use carat::obs::{shardstats, CounterRegistry, MetricsConfig, ShardStatsSnapshot};
 use carat::sim::{DeadlockMode, Sim, SimConfig};
 use carat::workload::{StandardWorkload, SystemParams};
@@ -394,9 +392,6 @@ struct PointIters {
     warm_started: bool,
     accel_accepted: usize,
     accel_rejected: usize,
-    /// Committed-transaction throughput summed over nodes — what the
-    /// Linearizer accuracy harness compares against exact MVA.
-    total_tx_per_s: f64,
 }
 
 /// Solves the whole grid under the given options and renders one canonical
@@ -436,7 +431,6 @@ fn solve_grid(opts: &SweepOptions, mopts: &ModelOptions) -> (String, Vec<PointIt
             warm_started: r.convergence.warm_started,
             accel_accepted: r.convergence.accel_accepted,
             accel_rejected: r.convergence.accel_rejected,
-            total_tx_per_s: r.total_tx_per_s(),
         })
         .collect();
     (json, iters, pool)
@@ -453,31 +447,15 @@ fn time_grid(opts: &SweepOptions, mopts: &ModelOptions, reps: usize) -> f64 {
     best
 }
 
-/// Parses the solver-variant flags (`--accel`, `--mva`); everything else
-/// keeps its default. Invalid values abort rather than silently running a
+/// Parses the solver-variant flag (`--accel`); everything else keeps its
+/// default. An invalid value aborts rather than silently running a
 /// different experiment than asked.
 fn model_opts_from_args(args: &[String]) -> ModelOptions {
     let mut mopts = ModelOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--accel" => {
-                let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-                mopts.accel = Accel::parse(v).unwrap_or_else(|| {
-                    panic!("--accel expects off|aitken|anderson[:m], got {v:?}")
-                });
-                i += 1;
-            }
-            "--mva" => {
-                let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-                mopts.mva = MvaAlgo::parse(v).unwrap_or_else(|| {
-                    panic!("--mva expects exact|schweitzer|linearizer, got {v:?}")
-                });
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
+    if let Some(i) = args.iter().position(|a| a == "--accel") {
+        let v = args.get(i + 1).map(String::as_str).unwrap_or("");
+        mopts.accel =
+            Accel::parse(v).unwrap_or_else(|| panic!("--accel expects off|anderson, got {v:?}"));
     }
     mopts
 }
@@ -529,21 +507,19 @@ fn check_iters() {
         }
     }
     let reference_total: usize = REFERENCE_COLD_ITERS.iter().sum();
-    for (name, accel) in [("aitken", Accel::Aitken), ("anderson", Accel::Anderson(3))] {
-        let total: usize = cold(accel).iter().map(|p| p.iterations).sum();
-        let saved = 1.0 - total as f64 / reference_total as f64;
-        println!(
-            "accel {name}: {total} iterations vs {reference_total} recorded cold \
-             ({:.1}% saved)",
+    let total: usize = cold(Accel::Anderson).iter().map(|p| p.iterations).sum();
+    let saved = 1.0 - total as f64 / reference_total as f64;
+    println!(
+        "anderson acceleration, {total} iterations vs {reference_total} recorded cold \
+         ({:.1}% saved)",
+        saved * 100.0
+    );
+    if total as f64 > 0.70 * reference_total as f64 {
+        eprintln!(
+            "ACCEL REGRESSION (anderson) saved only {:.1}% (< 30%)",
             saved * 100.0
         );
-        if total as f64 > 0.70 * reference_total as f64 {
-            eprintln!(
-                "ACCEL REGRESSION {name}: saved only {:.1}% (< 30%)",
-                saved * 100.0
-            );
-            failed = true;
-        }
+        failed = true;
     }
     if failed {
         std::process::exit(1);
@@ -687,45 +663,19 @@ fn main() {
         warm_json, warm_par_json,
         "parallel warm sweep diverged from sequential"
     );
-    let accel_opts = |accel: Accel| ModelOptions {
-        accel,
+    let anderson = ModelOptions {
+        accel: Accel::Anderson,
         ..ModelOptions::default()
     };
-    let (accel_seq_json, anderson_iters, _) =
-        solve_grid(&variants[0].1, &accel_opts(Accel::Anderson(3)));
+    let (accel_seq_json, anderson_iters, _) = solve_grid(&variants[0].1, &anderson);
     assert_eq!(
         accel_seq_json,
-        solve_grid(&variants[2].1, &accel_opts(Accel::Anderson(3))).0,
+        solve_grid(&variants[2].1, &anderson).0,
         "parallel accelerated sweep diverged from sequential"
     );
     println!(
         "determinism: parallel ({} threads) == sequential, cold, warm and accelerated: OK",
         opts.threads
-    );
-
-    // Linearizer fast-path accuracy: every reference point within 0.5% of
-    // exact MVA on total committed throughput.
-    let (_, lin_iters, _) = solve_grid(
-        &variants[0].1,
-        &ModelOptions {
-            mva: MvaAlgo::Linearizer,
-            ..ModelOptions::default()
-        },
-    );
-    let lin_max_rel_err = cold_iters
-        .iter()
-        .zip(&lin_iters)
-        .map(|(e, l)| (e.total_tx_per_s - l.total_tx_per_s).abs() / e.total_tx_per_s)
-        .fold(0.0f64, f64::max);
-    assert!(
-        lin_max_rel_err < 0.005,
-        "linearizer fast path off by {:.3}% > 0.5%",
-        lin_max_rel_err * 100.0
-    );
-    println!(
-        "linearizer accuracy: max |Δ tx_per_s| = {:.4}% over {} points (< 0.5%): OK",
-        lin_max_rel_err * 100.0,
-        cold_iters.len()
     );
 
     println!(
@@ -747,50 +697,33 @@ fn main() {
     println!("\n  parallel speedup (cold_seq / cold_par): {speedup_par:.2}x");
     println!("  warm-start speedup (cold_seq / warm_seq): {speedup_warm:.2}x");
     let total = |iters: &[PointIters]| -> usize { iters.iter().map(|p| p.iterations).sum() };
-    let aitken_iters = solve_grid(&variants[0].1, &accel_opts(Accel::Aitken)).1;
     println!(
-        "  iterations: {} cold -> {} warm, accelerated cold: {} aitken / {} anderson",
+        "  iterations: {} cold -> {} warm, accelerated cold: {} anderson",
         total(&cold_iters),
         total(&warm_iters),
-        total(&aitken_iters),
         total(&anderson_iters),
     );
 
     // Solver-variant matrix: wall clock and total iterations for every
-    // acceleration × MVA × threads combination (cold sweeps; 2 reps keep
-    // the full matrix cheap next to the best-of-REPS headline numbers).
+    // acceleration × threads combination (cold sweeps; 2 reps keep the
+    // full matrix cheap next to the best-of-REPS headline numbers).
     println!("\n## Variant matrix (cold sweeps, best of 2)");
     let mut matrix = Vec::new();
-    for (accel_name, accel) in [
-        ("off", Accel::Off),
-        ("aitken", Accel::Aitken),
-        ("anderson:3", Accel::Anderson(3)),
-    ] {
-        for (mva_name, mva) in [
-            ("exact", MvaAlgo::Exact),
-            ("linearizer", MvaAlgo::Linearizer),
-        ] {
-            for threads in [1usize, opts.threads] {
-                let mo = ModelOptions {
-                    accel,
-                    mva,
-                    ..ModelOptions::default()
-                };
-                let so = mk(threads, false);
-                let ms = time_grid(&so, &mo, 2);
-                let iterations = total(&solve_grid(&so, &mo).1);
-                println!(
-                    "  accel={accel_name:10} mva={mva_name:10} threads={threads}  \
-                     {ms:9.2} ms  {iterations} iterations"
-                );
-                matrix.push(format!(
-                    "    {{\"accel\": \"{accel_name}\", \"mva\": \"{mva_name}\", \
-                     \"threads\": {threads}, \"wall_ms\": {}, \"iterations\": {iterations}}}",
-                    json_f64((ms * 1000.0).round() / 1000.0),
-                ));
-                if threads == 1 && opts.threads == 1 {
-                    break;
-                }
+    for (accel_name, mo) in [("off", &plain), ("anderson", &anderson)] {
+        for threads in [1usize, opts.threads] {
+            let so = mk(threads, false);
+            let ms = time_grid(&so, mo, 2);
+            let iterations = total(&solve_grid(&so, mo).1);
+            println!(
+                "  accel={accel_name:10} threads={threads}  {ms:9.2} ms  {iterations} iterations"
+            );
+            matrix.push(format!(
+                "    {{\"accel\": \"{accel_name}\", \"threads\": {threads}, \
+                 \"wall_ms\": {}, \"iterations\": {iterations}}}",
+                json_f64((ms * 1000.0).round() / 1000.0),
+            ));
+            if threads == 1 && opts.threads == 1 {
+                break;
             }
         }
     }
@@ -839,8 +772,7 @@ fn main() {
     let json = format!(
         "{{\n  \"threads\": {},\n  \"reps\": {REPS},\n  \"wall_ms\": {{{}}},\n  \
          \"speedup_parallel\": {},\n  \"speedup_warm\": {},\n  \
-         \"accel_saved\": {{\"aitken\": {}, \"anderson\": {}}},\n  \
-         \"linearizer_max_rel_err\": {},\n  \"pool\": {},\n  \
+         \"accel_saved\": {{\"anderson\": {}}},\n  \"pool\": {},\n  \
          \"matrix\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
         opts.threads,
         walls
@@ -851,14 +783,9 @@ fn main() {
         json_f64((speedup_par * 1000.0).round() / 1000.0),
         json_f64((speedup_warm * 1000.0).round() / 1000.0),
         json_f64(
-            ((1.0 - total(&aitken_iters) as f64 / total(&cold_iters) as f64) * 1000.0).round()
-                / 1000.0
-        ),
-        json_f64(
             ((1.0 - total(&anderson_iters) as f64 / total(&cold_iters) as f64) * 1000.0).round()
                 / 1000.0
         ),
-        json_f64((lin_max_rel_err * 1e6).round() / 1e6),
         pool_json,
         matrix.join(",\n"),
         points.join(",\n"),

@@ -66,8 +66,6 @@ pub struct RunSpec {
     /// Outer-loop fixed-point acceleration (model only; `off` is
     /// byte-identical to the plain damped iteration).
     pub accel: carat::model::Accel,
-    /// Per-site MVA algorithm (model only).
-    pub mva: carat::model::MvaAlgo,
     /// Write a transaction-lifecycle trace here (simulator, single run
     /// only). `.jsonl` writes line-delimited events; anything else writes
     /// Chrome trace-event JSON loadable in Perfetto / `chrome://tracing`.
@@ -121,7 +119,6 @@ impl Default for RunSpec {
             threads: 1,
             warm_start: false,
             accel: carat::model::Accel::Off,
-            mva: carat::model::MvaAlgo::Exact,
             trace: None,
             trace_filter: None,
             metrics_ms: None,
@@ -217,9 +214,7 @@ FLAGS:
     --threads <k>                  parallel MVA solves / sim replications (identical results)
     --warm-start                   seed each model solve from the previous n's fixed point
     --sequential                   force single-threaded solving (same as --threads 1)
-    --accel <off|aitken|anderson[:m]>  accelerate the model's fixed point (default off;
-                                   anderson depth m defaults to 3)
-    --mva <exact|schweitzer|linearizer>  per-site MVA algorithm (model; default exact)
+    --accel <off|anderson>         accelerate the model's fixed point (default off)
     --trace <path>                 write a lifecycle trace (sim, single run):
                                    .jsonl = line-delimited, else Chrome/Perfetto JSON
     --trace-filter <spec>          keep only matching events, e.g.
@@ -454,12 +449,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--accel" => {
                 let v = next(&mut i)?;
                 spec.accel = carat::model::Accel::parse(v)
-                    .ok_or_else(|| format!("unknown accel {v} (off|aitken|anderson[:m])"))?;
-            }
-            "--mva" => {
-                let v = next(&mut i)?;
-                spec.mva = carat::model::MvaAlgo::parse(v)
-                    .ok_or_else(|| format!("unknown mva {v} (exact|schweitzer|linearizer)"))?;
+                    .ok_or_else(|| format!("unknown accel {v} (off|anderson)"))?;
             }
             "--trace" => spec.trace = Some(next(&mut i)?.clone()),
             "--trace-filter" => {
@@ -641,30 +631,16 @@ mod tests {
 
     #[test]
     fn parses_accel_and_mva() {
-        use carat::model::{Accel, MvaAlgo};
-        let d = RunSpec::default();
-        assert_eq!(d.accel, Accel::Off);
-        assert_eq!(d.mva, MvaAlgo::Exact);
-        let Command::Model(spec) = parse(&argv("model --accel aitken")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(spec.accel, Accel::Aitken);
-        let Command::Model(spec) = parse(&argv("model --accel anderson:5")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(spec.accel, Accel::Anderson(5));
+        use carat::model::Accel;
+        assert_eq!(RunSpec::default().accel, Accel::Off);
         let Command::Model(spec) = parse(&argv("model --accel anderson")).unwrap() else {
             panic!()
         };
-        assert!(matches!(spec.accel, Accel::Anderson(_)));
-        let Command::Model(spec) = parse(&argv("model --mva linearizer")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(spec.mva, MvaAlgo::Linearizer);
+        assert_eq!(spec.accel, Accel::Anderson);
         assert!(parse(&argv("model --accel banana")).is_err());
-        assert!(parse(&argv("model --accel anderson:0")).is_err());
-        assert!(parse(&argv("model --mva banana")).is_err());
-        assert!(parse(&argv("model --mva")).is_err());
+        // The per-site MVA algorithm follows from the lattice size alone;
+        // there is no flag to pick it.
+        assert!(parse(&argv("model --mva exact")).is_err());
     }
 
     #[test]

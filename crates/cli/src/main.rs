@@ -122,7 +122,6 @@ fn run_model(spec: &RunSpec, n: u32, warm: &mut Warm, log: Option<&mut IterLog>)
         model_tm_serialization: spec.tm_center,
         threads: spec.threads,
         accel: spec.accel,
-        mva: spec.mva,
         ..ModelOptions::default()
     };
     let seed = if spec.warm_start {

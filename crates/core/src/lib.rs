@@ -61,7 +61,7 @@ pub use availability::{
 pub use output::{ConvergenceInfo, ModelNodeReport, ModelReport, ModelTypeReport};
 pub use phases::{Phase, TransitionMatrix, VisitCounts};
 pub use solver::WarmStart;
-pub use solver::{Accel, Model, ModelConfig, ModelOptions, MvaAlgo};
+pub use solver::{Accel, Model, ModelConfig, ModelOptions};
 
 /// Internal: in-place dense solve returning `false` on singularity (thin
 /// wrapper so `contention` does not need its own linear-algebra import

@@ -43,39 +43,10 @@ impl ModelConfig {
     }
 }
 
-/// Which algorithm solves each site's closed queueing network inside one
-/// fixed-point iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MvaAlgo {
-    /// Exact MVA over the full population lattice (the default). Lattices
-    /// above the internal cap fall back to Schweitzer–Bard.
-    #[default]
-    Exact,
-    /// Schweitzer–Bard approximate MVA.
-    Schweitzer,
-    /// Chandy–Neuse Linearizer approximate MVA: Schweitzer–Bard corrected
-    /// by first-order fraction deviations; markedly closer to exact on
-    /// small multi-chain populations at a small constant-factor cost over
-    /// Schweitzer–Bard.
-    Linearizer,
-}
-
-impl MvaAlgo {
-    /// Parses the CLI spelling: `exact`, `schweitzer`, or `linearizer`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(MvaAlgo::Exact),
-            "schweitzer" => Some(MvaAlgo::Schweitzer),
-            "linearizer" => Some(MvaAlgo::Linearizer),
-            _ => None,
-        }
-    }
-}
-
 /// Outer-loop acceleration of the damped fixed-point iteration
-/// (DESIGN.md §12). Both schemes operate on the flattened per-chain
+/// (DESIGN.md §12). Anderson mixing operates on the flattened per-chain
 /// contention state vector (`Pb`, `Pd`, `R_LW`, `R_RW`, `R_CWC`, `R_CWA`,
-/// `Pra`) and are safeguarded: a candidate that leaves the [0, 1] /
+/// `Pra`) and is safeguarded: a candidate that leaves the [0, 1] /
 /// positivity bounds is discarded before being applied, and an applied
 /// step whose follow-up residual grows is rolled back to the plain damped
 /// iterate (with a short cooldown). `Off` is byte-identical to the
@@ -85,33 +56,25 @@ pub enum Accel {
     /// Plain damped iteration (the default).
     #[default]
     Off,
-    /// Safeguarded componentwise Aitken Δ² (vector Steffensen): every two
-    /// plain steps extrapolate one accelerated step, then the history
-    /// restarts.
-    Aitken,
-    /// Anderson mixing with history depth `m` (typically 2–4): each step
-    /// combines the last `m + 1` iterates through a small regularised
+    /// Anderson mixing with history depth [`DEFAULT_ANDERSON_DEPTH`]: each
+    /// step combines the last `m + 1` iterates through a small regularised
     /// least-squares problem over their residuals.
-    Anderson(usize),
+    Anderson,
 }
 
 impl Accel {
-    /// Parses the CLI spelling: `off`, `aitken`, `anderson`, or
-    /// `anderson:M`.
+    /// Parses the CLI spelling: `off` or `anderson`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "off" => Some(Accel::Off),
-            "aitken" => Some(Accel::Aitken),
-            "anderson" => Some(Accel::Anderson(DEFAULT_ANDERSON_DEPTH)),
-            _ => {
-                let m = s.strip_prefix("anderson:")?.parse::<usize>().ok()?;
-                (m >= 1).then_some(Accel::Anderson(m))
-            }
+            "anderson" => Some(Accel::Anderson),
+            _ => None,
         }
     }
 }
 
-/// Anderson history depth used by the bare `anderson` spelling.
+/// Anderson history depth `m`. Depths 1–5 were measured on the 288-point
+/// model grid (DESIGN.md §12); none beats 3.
 pub const DEFAULT_ANDERSON_DEPTH: usize = 3;
 
 /// Solver knobs and ablation switches (DESIGN.md §9).
@@ -123,8 +86,6 @@ pub struct ModelOptions {
     pub tol: f64,
     /// Iteration cap.
     pub max_iter: usize,
-    /// Per-site MVA algorithm (see [`MvaAlgo`]).
-    pub mva: MvaAlgo,
     /// Outer-loop acceleration (see [`Accel`]; `Off` keeps the solve
     /// byte-identical to the plain damped iteration).
     pub accel: Accel,
@@ -158,7 +119,6 @@ impl Default for ModelOptions {
             damping: 0.5,
             tol: 1e-9,
             max_iter: 400,
-            mva: MvaAlgo::Exact,
             accel: Accel::Off,
             ignore_deadlocks: false,
             all_locks_exclusive: false,
@@ -249,24 +209,23 @@ const INV_DAMP: f64 = 2.0;
 /// moment the step was taken. Anderson iterates are not monotone — a
 /// transient bump of a near-converged component is normal — and rejecting
 /// on any increase costs a rollback plus cooldown; the bounded grace keeps
-/// the non-monotone steps that still contract over two iterations. Aitken
-/// gets no grace: it restarts its history at every extrapolation, so a
-/// step that failed to contract has polluted exactly the two iterates the
-/// next extrapolation would build on — strict rejection is cheaper there.
+/// the non-monotone steps that still contract over two iterations.
 const ANDERSON_GRACE: f64 = 2.0;
 
-/// Safeguarded outer-loop accelerator over the flattened contention state
+/// History pairs kept: Anderson(m) mixes the last m + 1.
+const ANDERSON_HISTORY: usize = DEFAULT_ANDERSON_DEPTH + 1;
+
+/// Safeguarded Anderson accelerator over the flattened contention state
 /// (see [`Accel`]). The engine watches the plain damped iteration
 /// `x_{i+1} = G(x_i)` (where `G` already includes the damping), keeps a
 /// short history of iterates `x_i` and residuals `f_i = G(x_i) − x_i`,
 /// and occasionally replaces the damped iterate with an extrapolated
 /// candidate. Every candidate is screened against the [0, 1]/positivity
 /// bounds before being applied, and retro-checked one iteration later: if
-/// the residual grew (beyond [`ANDERSON_GRACE`] for Anderson), the state
-/// is rolled back to the saved damped iterate and acceleration pauses for
+/// the residual grew beyond [`ANDERSON_GRACE`], the state is rolled back
+/// to the saved damped iterate and acceleration pauses for
 /// [`ACCEL_COOLDOWN`] iterations.
 struct AccelEngine {
-    mode: Accel,
     /// Picard history (oldest first): iterates and their residuals.
     hist_x: Vec<Vec<f64>>,
     hist_f: Vec<Vec<f64>>,
@@ -288,10 +247,9 @@ struct AccelEngine {
 }
 
 impl AccelEngine {
-    fn new(mode: Accel, st: &[ChainState]) -> Self {
+    fn new(st: &[ChainState]) -> Self {
         let dim = st.len() * ACCEL_FIELDS;
         let mut eng = AccelEngine {
-            mode,
             hist_x: Vec::new(),
             hist_f: Vec::new(),
             x_prev: vec![0.0; dim],
@@ -306,16 +264,6 @@ impl AccelEngine {
         };
         Self::extract(st, &mut eng.x_prev);
         eng
-    }
-
-    /// History pairs kept: Aitken restarts after every extrapolation and
-    /// needs two consecutive pairs; Anderson(m) mixes the last m + 1.
-    fn depth(&self) -> usize {
-        match self.mode {
-            Accel::Off => 0,
-            Accel::Aitken => 2,
-            Accel::Anderson(m) => m.max(1) + 1,
-        }
     }
 
     /// Flattens the damped state quantities of every chain into `out`.
@@ -358,15 +306,14 @@ impl AccelEngine {
             .collect();
         self.hist_x.push(self.x_prev.clone());
         self.hist_f.push(f);
-        let depth = self.depth();
-        while self.hist_x.len() > depth {
+        while self.hist_x.len() > ANDERSON_HISTORY {
             self.hist_x.remove(0);
             self.hist_f.remove(0);
         }
     }
 
-    /// Forgets the Picard history (after an extrapolation restart or a
-    /// rollback, the stored pairs no longer describe consecutive steps).
+    /// Forgets the Picard history (after a rollback, the stored pairs no
+    /// longer describe consecutive steps).
     fn clear_history(&mut self) {
         self.hist_x.clear();
         self.hist_f.clear();
@@ -383,54 +330,12 @@ impl AccelEngine {
     /// extrapolation is numerically unusable; `true` means `cand` holds a
     /// candidate that differs from the plain damped iterate.
     fn try_candidate(&mut self) -> bool {
-        if self.hist_x.len() < 2 {
-            return false;
-        }
-        let ok = match self.mode {
-            Accel::Off => false,
-            Accel::Aitken => self.aitken_candidate(),
-            Accel::Anderson(_) => self.anderson_candidate(),
-        };
-        if !ok {
+        if self.hist_x.len() < 2 || !self.anderson_candidate() {
             return false;
         }
         // A candidate equal to the damped iterate would make the pending
         // bookkeeping a pure no-op; skip it.
         self.cand.iter().zip(&self.x_curr).any(|(c, x)| c != x)
-    }
-
-    /// Vector Aitken Δ² (Irons–Tuck form) over the last two consecutive
-    /// pairs. The scalar recursion `x₂ − f₁²/(f₁ − f₀)` generalises to the
-    /// projected step `x₂ − θ·f₁` with `θ = ⟨f₁, Δf⟩ / ⟨Δf, Δf⟩`, which
-    /// estimates one global contraction rate instead of one per component —
-    /// the componentwise form misfires when individual denominators
-    /// `f₁ᵢ − f₀ᵢ` pass near zero. Components are weighted by
-    /// `1 / (1 + |x|)` so the rate estimate matches the relative-error
-    /// metric the solver converges on (probabilities and millisecond-scale
-    /// times would otherwise be weighted 100:1).
-    fn aitken_candidate(&mut self) -> bool {
-        let last = self.hist_f.len() - 1;
-        let (f0, f1) = (&self.hist_f[last - 1], &self.hist_f[last]);
-        let x1 = &self.hist_x[last];
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for i in 0..self.cand.len() {
-            let w = 1.0 / (1.0 + (x1[i] + f1[i]).abs());
-            let d = (f1[i] - f0[i]) * w;
-            num += f1[i] * w * d;
-            den += d * d;
-        }
-        let theta = num / den;
-        // θ estimates ρ/(ρ−1) for contraction rate ρ ∈ (0, 1), so a
-        // meaningful extrapolation has θ < 0 (a positive θ means the
-        // residual grew and Δ² would step backwards — let damping work).
-        if !theta.is_finite() || !(-50.0..0.0).contains(&theta) {
-            return false;
-        }
-        for i in 0..self.cand.len() {
-            self.cand[i] = x1[i] + (1.0 - theta) * f1[i];
-        }
-        true
     }
 
     /// Anderson mixing (type II) over the stored pairs: solve the
@@ -532,20 +437,14 @@ const EXACT_LATTICE_MAX: usize = 2_000_000;
 const PARALLEL_LATTICE_MIN: usize = 4_096;
 
 impl SiteSolver {
-    /// Solves this site's network into the held buffers.
-    fn run(&mut self, algo: MvaAlgo) {
-        match algo {
-            MvaAlgo::Exact if self.net.lattice_size() <= EXACT_LATTICE_MAX => {
-                self.net.solve_exact_into(&mut self.scratch, &mut self.out);
-            }
-            MvaAlgo::Linearizer => {
-                self.net
-                    .solve_linearizer_into(1e-10, 20_000, &mut self.scratch, &mut self.out);
-            }
-            _ => {
-                self.net
-                    .solve_approx_into(1e-10, 20_000, &mut self.scratch, &mut self.out);
-            }
+    /// Solves this site's network into the held buffers: exact MVA up to
+    /// [`EXACT_LATTICE_MAX`], Schweitzer–Bard above it.
+    fn run(&mut self) {
+        if self.net.lattice_size() <= EXACT_LATTICE_MAX {
+            self.net.solve_exact_into(&mut self.scratch, &mut self.out);
+        } else {
+            self.net
+                .solve_approx_into(1e-10, 20_000, &mut self.scratch, &mut self.out);
         }
     }
 }
@@ -684,7 +583,7 @@ impl Model {
         let mut pd_dist: Vec<f64> = Vec::with_capacity(n_chains);
         let mut accel = match self.opts.accel {
             Accel::Off => None,
-            mode => Some(AccelEngine::new(mode, &st)),
+            Accel::Anderson => Some(AccelEngine::new(&st)),
         };
 
         for iter in 0..self.opts.max_iter {
@@ -780,21 +679,20 @@ impl Model {
             // only its own buffers with arithmetic identical to the
             // sequential path, so the results are bitwise equal for any
             // thread count.
-            let mva = self.opts.mva;
             if parallel_sites {
                 let per = solvers.len().div_ceil(threads);
                 std::thread::scope(|scope| {
                     for chunk in solvers.chunks_mut(per) {
                         scope.spawn(move || {
                             for sv in chunk {
-                                sv.run(mva);
+                                sv.run();
                             }
                         });
                     }
                 });
             } else {
                 for sv in &mut solvers {
-                    sv.run(mva);
+                    sv.run();
                 }
             }
 
@@ -1006,11 +904,7 @@ impl Model {
             if let Some(eng) = accel.as_mut() {
                 if eng.pending {
                     eng.pending = false;
-                    let grace = match eng.mode {
-                        Accel::Anderson(_) => ANDERSON_GRACE,
-                        _ => 1.0,
-                    };
-                    if delta > grace * eng.pending_residual && delta >= self.opts.tol {
+                    if delta > ANDERSON_GRACE * eng.pending_residual && delta >= self.opts.tol {
                         // The accelerated step increased the residual: roll
                         // back to the plain damped iterate it replaced.
                         st.clone_from(&eng.snapshot);
@@ -1036,11 +930,6 @@ impl Model {
                             eng.pending = true;
                             eng.pending_residual = delta;
                             eng.inject_candidate(&mut st);
-                            if eng.mode == Accel::Aitken {
-                                // Steffensen restart: the candidate breaks
-                                // the consecutive-iterate structure Δ² needs.
-                                eng.clear_history();
-                            }
                             marker = "acc";
                         }
                     }

@@ -56,7 +56,7 @@ fn assert_reports_close(a: &ModelReport, b: &ModelReport, tol: f64) {
 }
 
 #[test]
-fn aitken_and_anderson_reach_the_plain_fixed_point() {
+fn anderson_reaches_the_plain_fixed_point() {
     for wl in [
         StandardWorkload::Lb8,
         StandardWorkload::Mb4,
@@ -68,11 +68,9 @@ fn aitken_and_anderson_reach_the_plain_fixed_point() {
             assert!(plain.convergence.converged);
             assert_eq!(plain.convergence.accel_accepted, 0);
             assert_eq!(plain.convergence.accel_rejected, 0);
-            for accel in [Accel::Aitken, Accel::Anderson(3)] {
-                let fast = solve_with_tol(wl, n, accel, 1e-12);
-                assert!(fast.convergence.converged, "{wl:?} n={n} {accel:?}");
-                assert_reports_close(&plain, &fast, 1e-9);
-            }
+            let fast = solve_with_tol(wl, n, Accel::Anderson, 1e-12);
+            assert!(fast.convergence.converged, "{wl:?} n={n}");
+            assert_reports_close(&plain, &fast, 1e-9);
         }
     }
 }
@@ -80,27 +78,25 @@ fn aitken_and_anderson_reach_the_plain_fixed_point() {
 #[test]
 fn acceleration_reduces_iterations_on_the_reference_sweep() {
     // The tentpole claim: ≥30% fewer fixed-point iterations summed over
-    // the paper's 20 reference points, for both acceleration modes.
-    for accel in [Accel::Aitken, Accel::Anderson(3)] {
-        let mut plain_total = 0usize;
-        let mut fast_total = 0usize;
-        for wl in [
-            StandardWorkload::Lb8,
-            StandardWorkload::Mb4,
-            StandardWorkload::Mb8,
-            StandardWorkload::Ub6,
-        ] {
-            for n in [4u32, 8, 12, 16, 20] {
-                plain_total += solve_with(wl, n, Accel::Off).convergence.iterations;
-                fast_total += solve_with(wl, n, accel).convergence.iterations;
-            }
+    // the paper's 20 reference points.
+    let mut plain_total = 0usize;
+    let mut fast_total = 0usize;
+    for wl in [
+        StandardWorkload::Lb8,
+        StandardWorkload::Mb4,
+        StandardWorkload::Mb8,
+        StandardWorkload::Ub6,
+    ] {
+        for n in [4u32, 8, 12, 16, 20] {
+            plain_total += solve_with(wl, n, Accel::Off).convergence.iterations;
+            fast_total += solve_with(wl, n, Accel::Anderson).convergence.iterations;
         }
-        println!("{accel:?}: {fast_total} accelerated vs {plain_total} plain iterations");
-        assert!(
-            (fast_total as f64) <= 0.70 * plain_total as f64,
-            "{accel:?}: {fast_total} accelerated vs {plain_total} plain iterations"
-        );
     }
+    println!("{fast_total} accelerated vs {plain_total} plain iterations");
+    assert!(
+        (fast_total as f64) <= 0.70 * plain_total as f64,
+        "{fast_total} accelerated vs {plain_total} plain iterations"
+    );
 }
 
 #[test]
@@ -110,7 +106,7 @@ fn accepted_steps_are_counted_and_logged() {
     let (r, _) = Model::with_options(
         ModelConfig::new(StandardWorkload::Mb8.spec(2), 16),
         ModelOptions {
-            accel: Accel::Anderson(3),
+            accel: Accel::Anderson,
             ..ModelOptions::default()
         },
     )
@@ -149,13 +145,7 @@ fn accel_off_is_the_default_and_changes_nothing() {
 #[test]
 fn accel_parses_flag_forms() {
     assert_eq!(Accel::parse("off"), Some(Accel::Off));
-    assert_eq!(Accel::parse("aitken"), Some(Accel::Aitken));
-    assert_eq!(
-        Accel::parse("anderson"),
-        Some(Accel::Anderson(carat_model::solver::DEFAULT_ANDERSON_DEPTH))
-    );
-    assert_eq!(Accel::parse("anderson:5"), Some(Accel::Anderson(5)));
-    assert_eq!(Accel::parse("anderson:0"), None);
+    assert_eq!(Accel::parse("anderson"), Some(Accel::Anderson));
     assert_eq!(Accel::parse("newton"), None);
 }
 
@@ -196,8 +186,8 @@ fn workload_strategy() -> impl Strategy<Value = (WorkloadSpec, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For arbitrary workloads and populations, both acceleration modes
-    /// land on the plain damped fixed point to 1e-9 in every report field.
+    /// For arbitrary workloads and populations, Anderson acceleration
+    /// lands on the plain damped fixed point to 1e-9 in every report field.
     #[test]
     fn accelerated_solves_match_plain_fixed_point((spec, n) in workload_strategy()) {
         let solve = |accel: Accel| {
@@ -209,10 +199,8 @@ proptest! {
         };
         let plain = solve(Accel::Off);
         prop_assume!(plain.convergence.converged);
-        for accel in [Accel::Aitken, Accel::Anderson(3)] {
-            let fast = solve(accel);
-            prop_assert!(fast.convergence.converged);
-            assert_reports_close(&plain, &fast, 1e-9);
-        }
+        let fast = solve(Accel::Anderson);
+        prop_assert!(fast.convergence.converged);
+        assert_reports_close(&plain, &fast, 1e-9);
     }
 }

@@ -1,7 +1,8 @@
 //! Behavioural tests of the fixed-point solver: the model must respond to
 //! its inputs the way queueing theory demands.
 
-use carat_model::{Model, ModelConfig, ModelOptions, ModelReport, MvaAlgo};
+use carat_model::demands::chain_contexts;
+use carat_model::{Model, ModelConfig, ModelOptions, ModelReport};
 use carat_obs::IterLog;
 use carat_workload::{NodeParams, StandardWorkload, SystemParams, TxType, WorkloadSpec};
 
@@ -148,18 +149,40 @@ fn incompatible_warm_start_falls_back_to_cold() {
     assert_reports_identical(&r, &cold);
 }
 
+/// Largest per-site population lattice (the number of population vectors
+/// exact MVA visits) of `cfg`.
+fn max_site_lattice(cfg: &ModelConfig) -> usize {
+    let ctxs = chain_contexts(&cfg.params, &cfg.workload, cfg.n_requests);
+    (0..cfg.params.sites())
+        .map(|site| {
+            ctxs.iter()
+                .filter(|c| c.site == site)
+                .map(|c| c.population + 1)
+                .product::<usize>()
+        })
+        .max()
+        .unwrap_or(1)
+}
+
 #[test]
 fn threaded_site_solves_are_bitwise_identical() {
+    // Five-site MB8: its largest site lattice clears the solver's
+    // parallel-solve threshold (4,096), so `threads > 1` really takes the
+    // threaded branch instead of falling back to the sequential one.
+    let mut cfg = ModelConfig::new(StandardWorkload::Mb8.spec(5), 16);
+    cfg.params = SystemParams::with_sites(5);
+    let lattice = max_site_lattice(&cfg);
+    assert!(lattice >= 4_096, "largest lattice {lattice} < 4096");
+    let seq = Model::new(cfg.clone()).solve();
     for threads in [2usize, 4, 8] {
         let par = Model::with_options(
-            ModelConfig::new(StandardWorkload::Mb8.spec(2), 16),
+            cfg.clone(),
             ModelOptions {
                 threads,
                 ..ModelOptions::default()
             },
         )
         .solve();
-        let seq = solve(StandardWorkload::Mb8, 16);
         assert_eq!(par.convergence.iterations, seq.convergence.iterations);
         assert_reports_identical(&par, &seq);
     }
@@ -248,25 +271,26 @@ fn adding_users_saturates_but_never_reduces_total_below_fewer_users_significantl
 }
 
 #[test]
-fn approximate_mva_option_stays_close_to_exact() {
-    let exact = solve(StandardWorkload::Mb8, 8);
-    let approx = Model::with_options(
-        ModelConfig::new(StandardWorkload::Mb8.spec(2), 8),
-        ModelOptions {
-            mva: MvaAlgo::Schweitzer,
-            ..ModelOptions::default()
-        },
-    )
-    .solve();
-    for (e, a) in exact.nodes.iter().zip(&approx.nodes) {
-        let rel = (e.tx_per_s - a.tx_per_s).abs() / e.tx_per_s;
-        assert!(
-            rel < 0.15,
-            "node {}: exact {} vs approx {}",
-            e.name,
-            e.tx_per_s,
-            a.tx_per_s
-        );
+fn lattice_above_exact_cap_solves_by_schweitzer() {
+    // 1,500 readers of each kind on node A: site 0's lattice is
+    // 1501 × 1501 = 2,253,001 population vectors, above the exact-MVA cap
+    // (2,000,000), so the solver must take the Schweitzer–Bard path.
+    let spec = WorkloadSpec {
+        name: "huge".into(),
+        users: vec![vec![(TxType::Lro, 1500), (TxType::Dro, 1500)], vec![]],
+    };
+    let cfg = ModelConfig::new(spec, 4);
+    let lattice = max_site_lattice(&cfg);
+    assert!(
+        lattice > 2_000_000,
+        "lattice {lattice} within the exact cap"
+    );
+    let r = Model::new(cfg).solve();
+    assert!(r.convergence.converged, "{:?}", r.convergence);
+    for node in &r.nodes {
+        assert!(node.cpu_util <= 1.0 + 1e-9, "{}", node.name);
+        assert!(node.disk_util <= 1.0 + 1e-9, "{}", node.name);
+        assert!(node.log_disk_util <= 1.0 + 1e-9, "{}", node.name);
     }
 }
 

@@ -103,27 +103,6 @@ pub struct MvaScratch {
     stride: Vec<usize>,
     /// Decoded population vector.
     pop: Vec<usize>,
-    /// Linearizer: queue lengths at the reduced populations `N − e_j`,
-    /// indexed `[j][k * centers + c]`.
-    q_minus: Vec<f64>,
-    /// Linearizer: fraction deviations `D_ckj`, indexed
-    /// `[(k * centers + c) * chains + j]`.
-    dev: Vec<f64>,
-    /// Linearizer: the population vector of the Core solve in progress.
-    pop_f: Vec<f64>,
-    /// Linearizer: per-chain residence times of the Core solve in progress.
-    res: Vec<f64>,
-    /// Linearizer: per-chain throughputs of the Core solve in progress.
-    x: Vec<f64>,
-    /// Linearizer: full-population queue lengths of the previous pass,
-    /// used to detect convergence of the deviation iteration.
-    q_prev: Vec<f64>,
-    /// Linearizer: queue lengths at the pair-reduced populations
-    /// `N − e_j − e_i`, indexed `[j * chains + i][k * centers + c]`.
-    q_minus2: Vec<f64>,
-    /// Linearizer: fraction deviations at the reduced populations,
-    /// `D_cki(N − e_j)`, indexed `[j][(k * centers + c) * chains + i]`.
-    dev2: Vec<f64>,
 }
 
 impl Network {
@@ -220,7 +199,7 @@ impl Network {
         let lattice = self.lattice_size();
 
         out.reset(k_n, c_n);
-        let MvaScratch { q, stride, pop, .. } = scratch;
+        let MvaScratch { q, stride, pop } = scratch;
         // Mean queue length at each queueing center for every population
         // vector, indexed by mixed-radix encoding of the vector.
         q.clear();
@@ -390,306 +369,6 @@ impl Network {
         self.finalize_solution(out);
     }
 
-    /// Solves the network with the **Chandy–Neuse Linearizer** approximate
-    /// MVA.
-    ///
-    /// Linearizer refines Schweitzer–Bard by tracking the first-order
-    /// change of every queue-length *fraction* when one customer is
-    /// removed: it solves the network at the full population `N` and at
-    /// every reduced population `N − e_j`, records the fraction deviations
-    /// `D_ckj = F_ck(N − e_j) − F_ck(N)` (where `F_ck(M) = Q_ck(M)/M_k`),
-    /// and feeds them back into the arrival-instant queue estimate
-    ///
-    /// ```text
-    /// Q_ck(M − e_j) ≈ (M_k − δ_kj) · (F_ck(M) + D_ckj)
-    /// ```
-    ///
-    /// With `D = 0` this is exactly Schweitzer–Bard. Two refinements over
-    /// the textbook schedule tighten it further:
-    ///
-    /// * deviations at the *reduced* populations are estimated from
-    ///   pair-reduced solves `N − e_j − e_i` instead of being assumed
-    ///   equal to the full-population deviations (the classic Linearizer
-    ///   truncation). This second-order correction matters most for
-    ///   chains with one or two customers — exactly the foreign-slave
-    ///   chains of the testbed's site networks — where the first-order
-    ///   truncation leaves a few tenths of a percent of error;
-    /// * passes repeat until the full-population queue lengths settle
-    ///   instead of stopping after two updates.
-    ///
-    /// The cost is `O(chains²)` Core solves per pass — still independent
-    /// of the population sizes, unlike exact MVA's full lattice.
-    pub fn solve_linearizer(&self, tol: f64, max_iter: usize) -> MvaSolution {
-        let mut scratch = MvaScratch::default();
-        let mut out = MvaSolution::empty();
-        self.solve_linearizer_into(tol, max_iter, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Network::solve_linearizer`]: reuses
-    /// the buffers in `scratch` and writes the solution into `out`.
-    /// Produces bitwise-identical results to `solve_linearizer`.
-    pub fn solve_linearizer_into(
-        &self,
-        tol: f64,
-        max_iter: usize,
-        scratch: &mut MvaScratch,
-        out: &mut MvaSolution,
-    ) {
-        let k_n = self.chains();
-        let c_n = self.centers();
-        out.reset(k_n, c_n);
-        if k_n == 0 {
-            self.finalize_solution(out);
-            return;
-        }
-
-        let MvaScratch {
-            q,
-            q_minus,
-            dev,
-            pop_f,
-            res,
-            x,
-            q_prev,
-            q_minus2,
-            dev2,
-            ..
-        } = scratch;
-        q.clear();
-        q.resize(k_n * c_n, 0.0);
-        q_minus.clear();
-        q_minus.resize(k_n * k_n * c_n, 0.0);
-        dev.clear();
-        dev.resize(k_n * c_n * k_n, 0.0);
-        pop_f.clear();
-        pop_f.resize(k_n, 0.0);
-        res.clear();
-        res.resize(k_n * c_n, 0.0);
-        x.clear();
-        x.resize(k_n, 0.0);
-        q_prev.clear();
-        q_prev.resize(k_n * c_n, 0.0);
-        q_minus2.clear();
-        q_minus2.resize(k_n * k_n * k_n * c_n, 0.0);
-        dev2.clear();
-        dev2.resize(k_n * k_n * c_n * k_n, 0.0);
-
-        // Population of chain `k` at level 0 (full), 1 (minus one of
-        // chain `j`) and 2 (minus one of `j`, one of `i`).
-        let pop1 = |k: usize, j: usize| self.populations[k].saturating_sub(usize::from(k == j));
-        let pop2 = |k: usize, j: usize, i: usize| pop1(k, j).saturating_sub(usize::from(k == i));
-
-        // Schweitzer-style initialization: every chain's population spread
-        // evenly over the queueing centers, at every population level.
-        let nq = self
-            .centers
-            .iter()
-            .filter(|c| c.kind == CenterKind::Queueing)
-            .count()
-            .max(1) as f64;
-        for k in 0..k_n {
-            for c in 0..c_n {
-                if self.centers[c].kind != CenterKind::Queueing {
-                    continue;
-                }
-                q[k * c_n + c] = self.populations[k] as f64 / nq;
-                for j in 0..k_n {
-                    q_minus[j * k_n * c_n + k * c_n + c] = pop1(k, j) as f64 / nq;
-                    for i in 0..k_n {
-                        q_minus2[(j * k_n + i) * k_n * c_n + k * c_n + c] =
-                            pop2(k, j, i) as f64 / nq;
-                    }
-                }
-            }
-        }
-
-        // Passes of: full-population Core; reduced Cores with the
-        // second-order deviations; pair-reduced Cores (truncated to the
-        // full-population deviations); deviation updates at both levels.
-        // Repeats until the full-population queue lengths stop moving at
-        // the scale the deviation corrections resolve (the damped updates
-        // halve each pass, so chasing them to the solver tolerance would
-        // buy ~2^-k refinements of a quantity that is itself an O(1/N)
-        // approximation — the loose threshold keeps the constant factor
-        // over Schweitzer–Bard small without measurable accuracy loss).
-        const LINEARIZER_MAX_PASSES: usize = 7;
-        const LINEARIZER_SETTLE: f64 = 1e-6;
-        for step in 0..LINEARIZER_MAX_PASSES {
-            for (p, &n) in pop_f.iter_mut().zip(&self.populations) {
-                *p = n as f64;
-            }
-            self.linearizer_core(pop_f, dev, q, res, x, tol, max_iter);
-            let settled = step > 0
-                && q.iter()
-                    .zip(q_prev.iter())
-                    .all(|(a, b)| (a - b).abs() < LINEARIZER_SETTLE.max(tol));
-            if settled || step == LINEARIZER_MAX_PASSES - 1 {
-                break;
-            }
-            q_prev.copy_from_slice(q);
-            for j in 0..k_n {
-                if self.populations[j] == 0 {
-                    continue;
-                }
-                for (k, p) in pop_f.iter_mut().enumerate() {
-                    *p = pop1(k, j) as f64;
-                }
-                let qj = &mut q_minus[j * k_n * c_n..(j + 1) * k_n * c_n];
-                let devj = &dev2[j * k_n * c_n * k_n..(j + 1) * k_n * c_n * k_n];
-                // The reduced-population solves only feed the damped
-                // deviation estimates, so they run at the settle scale,
-                // not the caller's (much tighter) solution tolerance.
-                self.linearizer_core(
-                    pop_f,
-                    devj,
-                    qj,
-                    res,
-                    x,
-                    LINEARIZER_SETTLE.max(tol),
-                    max_iter,
-                );
-                for i in 0..k_n {
-                    if pop1(i, j) == 0 {
-                        continue;
-                    }
-                    for (k, p) in pop_f.iter_mut().enumerate() {
-                        *p = pop2(k, j, i) as f64;
-                    }
-                    let qji =
-                        &mut q_minus2[(j * k_n + i) * k_n * c_n..(j * k_n + i + 1) * k_n * c_n];
-                    self.linearizer_core(
-                        pop_f,
-                        devj,
-                        qji,
-                        res,
-                        x,
-                        LINEARIZER_SETTLE.max(tol),
-                        max_iter,
-                    );
-                }
-            }
-            // Fraction deviations: at the full population,
-            // `D_ckj = F_ck(N − e_j) − F_ck(N)`; at each reduced
-            // population, `D_cki(N − e_j) = F_ck(N − e_j − e_i) −
-            // F_ck(N − e_j)`.
-            for k in 0..k_n {
-                let nk = self.populations[k] as f64;
-                for c in 0..c_n {
-                    let f_full = if nk > 0.0 { q[k * c_n + c] / nk } else { 0.0 };
-                    for j in 0..k_n {
-                        if self.populations[j] == 0 {
-                            continue;
-                        }
-                        let m1 = pop1(k, j) as f64;
-                        let f1 = if m1 > 0.0 {
-                            q_minus[j * k_n * c_n + k * c_n + c] / m1
-                        } else {
-                            0.0
-                        };
-                        let d1 = &mut dev[(k * c_n + c) * k_n + j];
-                        *d1 = 0.5 * (f1 - f_full) + 0.5 * *d1;
-                        for i in 0..k_n {
-                            if pop1(i, j) == 0 {
-                                continue;
-                            }
-                            let m2 = pop2(k, j, i) as f64;
-                            let f2 = if m2 > 0.0 {
-                                q_minus2[(j * k_n + i) * k_n * c_n + k * c_n + c] / m2
-                            } else {
-                                0.0
-                            };
-                            // Damped: the second-order deviations feed
-                            // back into their own level-2 Core solves, and
-                            // the undamped update diverges on saturated
-                            // small-population networks.
-                            let slot = &mut dev2[j * k_n * c_n * k_n + (k * c_n + c) * k_n + i];
-                            *slot = 0.5 * (f2 - f1) + 0.5 * *slot;
-                        }
-                    }
-                }
-            }
-        }
-
-        // The final Core pass ran at the full population: its throughputs
-        // and residence times are the solution.
-        out.throughput.copy_from_slice(x);
-        for k in 0..k_n {
-            out.residence[k].copy_from_slice(&res[k * c_n..(k + 1) * c_n]);
-        }
-        self.finalize_solution(out);
-    }
-
-    /// One Core solve of the Linearizer: approximate MVA at population
-    /// `pops` with the arrival-instant queue estimated from the current
-    /// fractions plus the deviations `dev`. `q` holds the queue-length
-    /// iterate for this population and is updated in place; `res`/`x` are
-    /// work buffers that exit holding this population's residence times
-    /// and throughputs.
-    #[allow(clippy::too_many_arguments)]
-    fn linearizer_core(
-        &self,
-        pops: &[f64],
-        dev: &[f64],
-        q: &mut [f64],
-        res: &mut [f64],
-        x: &mut [f64],
-        tol: f64,
-        max_iter: usize,
-    ) {
-        let k_n = self.chains();
-        let c_n = self.centers();
-        for _ in 0..max_iter {
-            let mut delta: f64 = 0.0;
-            for j in 0..k_n {
-                if pops[j] <= 0.0 {
-                    x[j] = 0.0;
-                    for c in 0..c_n {
-                        res[j * c_n + c] = 0.0;
-                    }
-                    continue;
-                }
-                let mut total_r = 0.0;
-                for c in 0..c_n {
-                    let d = self.demands[j][c];
-                    let r = match self.centers[c].kind {
-                        CenterKind::Delay => d,
-                        CenterKind::Queueing => {
-                            let mut q_arrival = 0.0;
-                            for k in 0..k_n {
-                                let mk = pops[k];
-                                if mk <= 0.0 {
-                                    continue;
-                                }
-                                let frac = q[k * c_n + c] / mk + dev[(k * c_n + c) * k_n + j];
-                                let remaining = mk - f64::from(u8::from(k == j));
-                                q_arrival += remaining * frac.max(0.0);
-                            }
-                            d * (1.0 + q_arrival)
-                        }
-                    };
-                    res[j * c_n + c] = r;
-                    total_r += r;
-                }
-                x[j] = if total_r > 0.0 {
-                    pops[j] / total_r
-                } else {
-                    0.0
-                };
-            }
-            for j in 0..k_n {
-                for c in 0..c_n {
-                    let new_q = x[j] * res[j * c_n + c];
-                    delta = delta.max((new_q - q[j * c_n + c]).abs());
-                    q[j * c_n + c] = new_q;
-                }
-            }
-            if delta < tol {
-                break;
-            }
-        }
-    }
-
     /// Fills `response`, `utilization`, and `queue_len` from the
     /// `throughput` and `residence` already stored in `out`.
     fn finalize_solution(&self, out: &mut MvaSolution) {
@@ -840,86 +519,6 @@ mod tests {
             // Schweitzer–Bard is typically within ~5–10 % at small
             // populations; it converges to exact as N grows.
             assert!(rel < 0.10, "chain {k}: rel err {rel}");
-        }
-    }
-
-    #[test]
-    fn linearizer_tighter_than_schweitzer() {
-        // Linearizer's whole point: on small multi-chain populations it
-        // must land much closer to exact MVA than Schweitzer–Bard does.
-        let mut net = Network::new();
-        let cpu = net.add_center("CPU", CenterKind::Queueing);
-        let disk = net.add_center("DISK", CenterKind::Queueing);
-        let z = net.add_center("Z", CenterKind::Delay);
-        let a = net.add_chain("a", 4);
-        let b = net.add_chain("b", 4);
-        net.set_demand(a, cpu, 1.2);
-        net.set_demand(a, disk, 3.0);
-        net.set_demand(a, z, 8.0);
-        net.set_demand(b, cpu, 2.0);
-        net.set_demand(b, disk, 0.7);
-        net.set_demand(b, z, 2.0);
-        let exact = net.solve_exact();
-        let schweitzer = net.solve_approx(1e-10, 10_000);
-        let linearizer = net.solve_linearizer(1e-10, 10_000);
-        for k in 0..2 {
-            let err = |s: &MvaSolution| {
-                (s.throughput[k] - exact.throughput[k]).abs() / exact.throughput[k]
-            };
-            assert!(
-                err(&linearizer) < 0.005,
-                "chain {k}: linearizer err {}",
-                err(&linearizer)
-            );
-            assert!(
-                err(&linearizer) < err(&schweitzer),
-                "chain {k}: linearizer {} !< schweitzer {}",
-                err(&linearizer),
-                err(&schweitzer)
-            );
-        }
-    }
-
-    #[test]
-    fn linearizer_exact_for_single_customer() {
-        // One customer, one chain: no queueing anywhere, all three solvers
-        // agree exactly.
-        let mut net = Network::new();
-        let cpu = net.add_center("CPU", CenterKind::Queueing);
-        let z = net.add_center("Z", CenterKind::Delay);
-        let k = net.add_chain("solo", 1);
-        net.set_demand(k, cpu, 3.0);
-        net.set_demand(k, z, 5.0);
-        let sol = net.solve_linearizer(1e-12, 10_000);
-        assert!((sol.response[k] - 8.0).abs() < 1e-9);
-        assert!((sol.throughput[k] - 1.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linearizer_scratch_reuse_is_bitwise_identical() {
-        let mut scratch = MvaScratch::default();
-        let mut out = MvaSolution::empty();
-        for &(na, nb) in &[(3usize, 2usize), (1, 5), (4, 4), (0, 2)] {
-            let mut net = Network::new();
-            let cpu = net.add_center("CPU", CenterKind::Queueing);
-            let disk = net.add_center("DISK", CenterKind::Queueing);
-            let z = net.add_center("Z", CenterKind::Delay);
-            let a = net.add_chain("a", na);
-            let b = net.add_chain("b", nb);
-            net.set_demand(a, cpu, 1.0);
-            net.set_demand(a, disk, 4.0);
-            net.set_demand(a, z, 5.0);
-            net.set_demand(b, cpu, 2.5);
-            net.set_demand(b, disk, 1.0);
-            net.set_demand(b, z, 0.5);
-
-            let fresh = net.solve_linearizer(1e-10, 10_000);
-            net.solve_linearizer_into(1e-10, 10_000, &mut scratch, &mut out);
-            assert_eq!(fresh.throughput, out.throughput);
-            assert_eq!(fresh.residence, out.residence);
-            assert_eq!(fresh.response, out.response);
-            assert_eq!(fresh.utilization, out.utilization);
-            assert_eq!(fresh.queue_len, out.queue_len);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the MVA solver on randomly generated closed
 //! networks.
 
-use carat_qnet::{CenterKind, Network};
+use carat_qnet::{solve_convolution, CenterKind, Network};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -102,6 +102,37 @@ proptest! {
         }
         for c in 0..2 {
             prop_assert!(approx.utilization[c] <= 1.0 + 1e-6);
+        }
+    }
+
+    /// Exact MVA and Buzen's convolution compute the same product-form
+    /// solution by independent recursions, so on any single-chain network
+    /// they must agree to rounding.
+    #[test]
+    fn exact_mva_matches_convolution(
+        n in 1usize..40,
+        demands in proptest::collection::vec(0.1f64..10.0, 1..5),
+        think in 0.0f64..50.0,
+    ) {
+        let mut net = Network::new();
+        let centers: Vec<usize> = (0..demands.len())
+            .map(|i| net.add_center(format!("c{i}"), CenterKind::Queueing))
+            .collect();
+        let z = net.add_center("Z", CenterKind::Delay);
+        let k = net.add_chain("jobs", n);
+        for (&c, &d) in centers.iter().zip(&demands) {
+            net.set_demand(k, c, d);
+        }
+        net.set_demand(k, z, think);
+        let mva = net.solve_exact();
+        let conv = solve_convolution(n, &demands, think);
+        let rel = (conv.throughput - mva.throughput[k]).abs() / mva.throughput[k];
+        prop_assert!(rel < 1e-9, "X: conv {} vs mva {}", conv.throughput, mva.throughput[k]);
+        for (i, &c) in centers.iter().enumerate() {
+            prop_assert!((conv.utilization[i] - mva.utilization[c]).abs() < 1e-9,
+                "util {}: conv {} vs mva {}", i, conv.utilization[i], mva.utilization[c]);
+            prop_assert!((conv.queue_len[i] - mva.queue_len[c]).abs() < 1e-6 * n as f64,
+                "qlen {}: conv {} vs mva {}", i, conv.queue_len[i], mva.queue_len[c]);
         }
     }
 }
