@@ -30,23 +30,25 @@ echo "== sim determinism gate"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"
 cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --sequential --out "${TMPDIR:-/tmp}/sim_seq.json"
 cmp "${TMPDIR:-/tmp}/sim_par.json" "${TMPDIR:-/tmp}/sim_seq.json"
-echo "== shard determinism gate"
-# The site-sharded engine must produce byte-identical reports for every
-# worker-thread count (DESIGN.md: shards is purely a parallelism knob).
-cargo run --release -p carat-cli -- sim --workload lb8 --sites 8 --n 8 --measure-s 60 --shards 1 > "${TMPDIR:-/tmp}/shard_1.txt"
-cargo run --release -p carat-cli -- sim --workload lb8 --sites 8 --n 8 --measure-s 60 --shards 2 > "${TMPDIR:-/tmp}/shard_2.txt"
-cargo run --release -p carat-cli -- sim --workload lb8 --sites 8 --n 8 --measure-s 60 --shards 4 > "${TMPDIR:-/tmp}/shard_4.txt"
-cmp "${TMPDIR:-/tmp}/shard_1.txt" "${TMPDIR:-/tmp}/shard_2.txt"
-cmp "${TMPDIR:-/tmp}/shard_1.txt" "${TMPDIR:-/tmp}/shard_4.txt"
-echo "== cross-site shard determinism gate"
-# The coupled conservative engine (cross-site DRO/DU traffic, alpha > 0,
-# probe-based deadlock detection) must also be byte-identical for every
-# shard count, including the traffic and deadlock counters.
-cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 1 > "${TMPDIR:-/tmp}/xshard_1.txt"
-cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 2 > "${TMPDIR:-/tmp}/xshard_2.txt"
-cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 4 > "${TMPDIR:-/tmp}/xshard_4.txt"
-cmp "${TMPDIR:-/tmp}/xshard_1.txt" "${TMPDIR:-/tmp}/xshard_2.txt"
-cmp "${TMPDIR:-/tmp}/xshard_1.txt" "${TMPDIR:-/tmp}/xshard_4.txt"
+# Shard determinism: the per-site conservative engine must produce
+# byte-identical reports for every worker-thread count (DESIGN.md §14:
+# shards is purely a parallelism knob). $1 names the gate and its scratch
+# files; the remaining arguments are the `carat-cli sim` flags.
+shard_gate() {
+  name=$1
+  shift
+  echo "== $name determinism gate"
+  for k in 1 2 4; do
+    cargo run --release -p carat-cli -- sim "$@" --shards "$k" > "${TMPDIR:-/tmp}/${name}_$k.txt"
+  done
+  cmp "${TMPDIR:-/tmp}/${name}_1.txt" "${TMPDIR:-/tmp}/${name}_2.txt"
+  cmp "${TMPDIR:-/tmp}/${name}_1.txt" "${TMPDIR:-/tmp}/${name}_4.txt"
+}
+# Site-separable LB8 (lookahead ∞, no messages).
+shard_gate shard --workload lb8 --sites 8 --n 8 --measure-s 60
+# Cross-site MB4 (lookahead α, DRO/DU traffic, probe-based deadlock
+# detection), including the traffic and deadlock counters.
+shard_gate xshard --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60
 echo "== partition determinism gate"
 # The partition experiment (availability counters, catch-up replay, and
 # the model-vs-sim divergence gate) must be byte-identical across thread

@@ -13,9 +13,10 @@
 //!   pre-fast-path baseline (written to `BENCH_sim.json`) plus a
 //!   parallel-vs-sequential replication determinism check and two
 //!   shard-scaling matrices (byte-identity asserted, events/sec and
-//!   speedup recorded): a decomposed one (8-site LB8, site-separable)
-//!   and a cross-site coupled one (8-site MB4 with α > 0 and probes,
-//!   null-message ratio recorded from the shard telemetry);
+//!   speedup recorded): a site-separable one (8-site LB8, lookahead ∞,
+//!   labelled `"decomposed"`) and a cross-site coupled one (8-site MB4
+//!   with α > 0 and probes, null-message ratio recorded from the shard
+//!   telemetry);
 //! * **emit** (`--emit [--out PATH]`): solves the same model grid
 //!   honouring the engine flags (`--threads N`, `--sequential`,
 //!   `--no-warm`) and the solver flag (`--accel off|anderson`) and writes

@@ -176,12 +176,13 @@ FLAGS:
     --sites <k>                    number of sites (default 2); larger clusters
                                    replicate the per-node user population and
                                    alternate the Table 2 disk speeds
-    --shards <k>                   simulator worker threads: site-separable
-                                   runs decompose, cross-site runs with
-                                   --alpha > 0 (and --probes under 2PL) run
-                                   the coupled conservative engine (default
-                                   $CARAT_SHARDS, else 1; reports are
-                                   byte-identical for every k)
+    --shards <k>                   simulator worker threads for the per-site
+                                   conservative engine, which runs
+                                   site-separable configs and cross-site
+                                   ones with --alpha > 0 (and --probes
+                                   under 2PL) (default $CARAT_SHARDS,
+                                   else 1; reports are byte-identical for
+                                   every k)
     --seed <u64>                   simulator RNG seed (default 7)
     --measure-s <secs>             simulated measurement window (default 300)
     --alpha <ms>                   communication delay α (default 0)

@@ -18,18 +18,15 @@
 //!
 //! Samples derive exclusively from simulation state and the virtual
 //! clock: no wall-clock quantities ever enter a recorder. The sharded
-//! engines record per site — the decomposed path one recorder per
-//! sub-simulation (re-tagged and merged with [`merge_sites`]), the
-//! coupled path one per logical process sampling only its owned site
-//! (merged with [`merge_ordered`]) — and both merges are stable time
-//! sorts over site-major concatenations, a pure function of the
-//! configuration. Metrics output is therefore byte-identical for every
+//! engine records per site — one recorder per logical process, sampling
+//! only its owned site — and merges them with [`merge_ordered`], a stable
+//! time sort over a site-major concatenation and so a pure function of
+//! the configuration. Metrics output is therefore byte-identical for every
 //! shard/thread count, which the CI metrics gates enforce. Wall-clock
 //! shard diagnostics (busy/stall split, null messages) stay in
 //! [`crate::shardstats`] and are only folded into *terminal* summaries,
 //! never into these exports.
 //!
-//! [`merge_sites`]: MetricsRecorder::merge_sites
 //! [`merge_ordered`]: MetricsRecorder::merge_ordered
 
 /// One sampled quantity. The set is closed (an enum, not strings) so the
@@ -337,40 +334,7 @@ impl MetricsRecorder {
         &self.samples
     }
 
-    /// Merges per-site recorders from the decomposed sharded engine: each
-    /// part sampled its single-site sub-simulation as site 0, so every
-    /// sample is re-tagged with its global site index and the union is
-    /// stably sorted by time — ties keep insertion order, which is site
-    /// order because the parts concatenate site-major. A pure function of
-    /// the configuration, independent of the shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    pub fn merge_sites(parts: Vec<(u32, MetricsRecorder)>) -> MetricsRecorder {
-        let first = parts.first().expect("merge_sites needs at least one part");
-        let (filter, sample_ms) = (first.1.filter, first.1.sample_ms);
-        let mut samples: Vec<MetricSample> =
-            Vec::with_capacity(parts.iter().map(|(_, m)| m.len()).sum());
-        let mut next_k = 1;
-        for (site, part) in &parts {
-            next_k = next_k.max(part.next_k);
-            for s in &part.samples {
-                let mut s = *s;
-                s.site = *site;
-                samples.push(s);
-            }
-        }
-        samples.sort_by(|a, b| a.t_ms.partial_cmp(&b.t_ms).expect("finite sample times"));
-        MetricsRecorder {
-            filter,
-            sample_ms,
-            samples,
-            next_k,
-        }
-    }
-
-    /// Merges per-LP recorders from the coupled sharded engine: each part
+    /// Merges per-LP recorders from the sharded engine: each part
     /// already carries its true site index (an LP samples only its owned
     /// site), so no re-tagging happens — the parts concatenate in the
     /// order given (site-major) and stably sort by time.
@@ -649,30 +613,71 @@ mod tests {
     }
 
     #[test]
-    fn merge_sites_retags_and_orders_by_time_then_site() {
-        let mut a = rec(10.0);
-        a.record(10.0, 0, MetricKind::CpuQ, 1.0);
-        a.record(20.0, 0, MetricKind::CpuQ, 2.0);
-        let mut b = rec(10.0);
-        b.record(10.0, 0, MetricKind::CpuQ, 5.0);
-        let merged = MetricsRecorder::merge_sites(vec![(0, a), (2, b)]);
-        let got: Vec<(f64, u32, f64)> = merged
-            .samples()
-            .iter()
-            .map(|s| (s.t_ms, s.site, s.value))
-            .collect();
-        assert_eq!(got, vec![(10.0, 0, 1.0), (10.0, 2, 5.0), (20.0, 0, 2.0)]);
-    }
-
-    #[test]
     fn merge_ordered_keeps_site_tags_and_part_order_on_ties() {
         let mut a = rec(10.0);
         a.record(10.0, 1, MetricKind::TxActive, 4.0);
         let mut b = rec(10.0);
         b.record(10.0, 0, MetricKind::TxActive, 7.0);
-        let merged = MetricsRecorder::merge_ordered(vec![a, b]);
-        let got: Vec<u32> = merged.samples().iter().map(|s| s.site).collect();
-        assert_eq!(got, vec![1, 0], "ties keep part (concatenation) order");
+        // A later part's earlier sample sorts ahead of an earlier part's
+        // later one.
+        let mut c = rec(10.0);
+        c.record(10.0, 2, MetricKind::CpuQ, 5.0);
+        c.record(20.0, 2, MetricKind::CpuQ, 6.0);
+        a.record(30.0, 1, MetricKind::TxActive, 2.0);
+        let merged = MetricsRecorder::merge_ordered(vec![a, b, c]);
+        let got: Vec<(f64, u32, f64)> = merged
+            .samples()
+            .iter()
+            .map(|s| (s.t_ms, s.site, s.value))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (10.0, 1, 4.0),
+                (10.0, 0, 7.0),
+                (10.0, 2, 5.0),
+                (20.0, 2, 6.0),
+                (30.0, 1, 2.0)
+            ],
+            "time order across parts; ties keep part (concatenation) order"
+        );
+    }
+
+    #[test]
+    fn merge_sites_retags_and_orders_by_time_then_site() {
+        // One recorder per site, given in site order, each sampling only
+        // its own site; site 1 ran one boundary further than the others.
+        let mut parts: Vec<MetricsRecorder> = Vec::new();
+        for site in 0..3u32 {
+            let mut m = rec(10.0);
+            let boundaries = if site == 1 { 3 } else { 2 };
+            for k in 1..=boundaries {
+                m.record(k as f64 * 10.0, site, MetricKind::TxActive, site as f64);
+                m.finish_boundary();
+            }
+            parts.push(m);
+        }
+        let merged = MetricsRecorder::merge_ordered(parts);
+        let got: Vec<(f64, u32, f64)> = merged
+            .samples()
+            .iter()
+            .map(|s| (s.t_ms, s.site, s.value))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (10.0, 0, 0.0),
+                (10.0, 1, 1.0),
+                (10.0, 2, 2.0),
+                (20.0, 0, 0.0),
+                (20.0, 1, 1.0),
+                (20.0, 2, 2.0),
+                (30.0, 1, 1.0)
+            ],
+            "each sample keeps its site tag; (time, site) order"
+        );
+        // The cursor resumes after the furthest boundary any part emitted.
+        assert_eq!(merged.next_boundary(), 40.0);
     }
 
     #[test]

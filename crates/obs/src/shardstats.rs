@@ -45,8 +45,7 @@ pub fn add_messages(n: u64) {
 }
 
 /// Runs where `shards > 1` was requested but the config was ineligible
-/// for any parallel decomposition, so execution fell back to the
-/// monolithic loop.
+/// for the sharded engine, so execution fell back to the monolithic loop.
 pub fn note_fallback() {
     FALLBACKS.fetch_add(1, Relaxed);
 }

@@ -439,75 +439,21 @@ impl Tracer {
         self.buf.is_empty()
     }
 
-    /// Merges per-site trace rings into one canonical timeline.
-    ///
-    /// The sharded engine records each site's events into its own tracer
-    /// (so trace content is independent of the shard count); this folds
-    /// the parts back together: every kept event is re-tagged with its
-    /// global site index and the union is ordered by `(t_ms, site)` —
-    /// intra-site order is preserved (each part's ring is already in
-    /// nondecreasing time order), and simultaneous events across sites
-    /// deliver in site order, a pure function of the configuration.
-    ///
-    /// The merged ring's capacity is the sum of the parts' capacities, so
-    /// the merge itself never drops events; `recorded`/`dropped` sum over
-    /// the parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    pub fn merge_sites(parts: Vec<(u32, Tracer)>) -> Tracer {
-        let filter = parts
-            .first()
-            .expect("merge_sites needs at least one part")
-            .1
-            .filter
-            .clone();
-        let mut capacity = 0usize;
-        let mut recorded = 0u64;
-        let mut dropped = 0u64;
-        let mut buf: Vec<TraceEvent> = Vec::with_capacity(parts.iter().map(|(_, t)| t.len()).sum());
-        for (site, part) in &parts {
-            capacity += part.capacity;
-            recorded += part.recorded;
-            dropped += part.dropped;
-            for ev in part.events() {
-                let mut ev = *ev;
-                ev.node = *site;
-                buf.push(ev);
-            }
-        }
-        // Stable sort on time alone: ties keep insertion order, which is
-        // site order because the parts were concatenated site-major.
-        buf.sort_by(|a, b| a.t_ms.partial_cmp(&b.t_ms).expect("finite trace times"));
-        Tracer {
-            filter,
-            buf,
-            capacity,
-            head: 0,
-            dropped,
-            recorded,
-        }
-    }
-
     /// Merges per-partition trace rings that already carry their global
     /// node indices into one canonical timeline.
     ///
-    /// The coupled (cross-site) sharded engine runs one logical process
-    /// per site against the *full* topology, so its trace events are
-    /// recorded with true site indices and cross-site hops appear inside
-    /// a single partition's ring. Unlike [`merge_sites`] no re-tagging
-    /// happens here: the parts are concatenated in the order given
-    /// (site-major, a pure function of the configuration) and stably
-    /// sorted by time, so simultaneous events deliver in part order for
-    /// every shard count. Capacity sums so the merge never drops events;
-    /// `recorded`/`dropped` sum over the parts.
+    /// The sharded engine runs one logical process per site against the
+    /// *full* topology, so its trace events are recorded with true site
+    /// indices and cross-site hops appear inside a single partition's
+    /// ring. No re-tagging happens: the parts are concatenated in the
+    /// order given (site-major, a pure function of the configuration) and
+    /// stably sorted by time, so simultaneous events deliver in part order
+    /// for every shard count. Capacity sums so the merge never drops
+    /// events; `recorded`/`dropped` sum over the parts.
     ///
     /// # Panics
     ///
     /// Panics if `parts` is empty.
-    ///
-    /// [`merge_sites`]: Tracer::merge_sites
     pub fn merge_ordered(parts: Vec<Tracer>) -> Tracer {
         let filter = parts
             .first()
@@ -798,50 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sites_interleaves_by_time_then_site_and_remaps_nodes() {
-        let cap = |n| TraceConfig {
-            filter: TraceFilter::all(),
-            capacity: n,
-        };
-        let mut site0 = Tracer::new(cap(4));
-        site0.record(ev(1.0, TraceKind::TxSubmit, 0, 10));
-        site0.record(ev(3.0, TraceKind::TxCommit, 0, 10));
-        let mut site2 = Tracer::new(cap(4));
-        site2.record(ev(1.0, TraceKind::TxSubmit, 0, 20));
-        site2.record(ev(2.0, TraceKind::TxAbort, 0, 20));
-        let merged = Tracer::merge_sites(vec![(0, site0), (2, site2)]);
-        let seen: Vec<(f64, u32, u64)> = merged.events().map(|e| (e.t_ms, e.node, e.gid)).collect();
-        // Simultaneous t = 1.0 events deliver in site order; node ids are
-        // the global site indices.
-        assert_eq!(
-            seen,
-            vec![(1.0, 0, 10), (1.0, 2, 20), (2.0, 2, 20), (3.0, 0, 10)]
-        );
-        assert_eq!(merged.recorded(), 4);
-        assert_eq!(merged.dropped(), 0);
-    }
-
-    #[test]
-    fn merge_sites_sums_capacity_and_drop_counters() {
-        let cap = |n| TraceConfig {
-            filter: TraceFilter::all(),
-            capacity: n,
-        };
-        let mut a = Tracer::new(cap(2));
-        for i in 0..5u64 {
-            a.record(ev(i as f64, TraceKind::NetSend, 0, i)); // 3 dropped
-        }
-        let b = Tracer::new(cap(2));
-        let merged = Tracer::merge_sites(vec![(0, a), (1, b)]);
-        assert_eq!(merged.len(), 2, "kept tails survive the merge");
-        assert_eq!(merged.recorded(), 5);
-        assert_eq!(merged.dropped(), 3);
-        // Capacity pools across parts: re-recording into the merged ring
-        // could hold all four kept slots.
-        assert_eq!(merged.capacity, 4);
-    }
-
-    #[test]
     fn merge_ordered_keeps_node_tags_and_breaks_ties_by_part_order() {
         let cap = |n| TraceConfig {
             filter: TraceFilter::all(),
@@ -853,12 +755,63 @@ mod tests {
         p0.record(ev(2.0, TraceKind::NetSend, 3, 10));
         let mut p1 = Tracer::new(cap(4));
         p1.record(ev(1.0, TraceKind::TxSubmit, 1, 20));
-        let merged = Tracer::merge_ordered(vec![p0, p1]);
+        // Part 2 overflowed its ring: 5 recorded, the 2-event tail kept.
+        let mut p2 = Tracer::new(cap(2));
+        for i in 0..5u64 {
+            p2.record(ev(i as f64, TraceKind::NetSend, 2, 30 + i));
+        }
+        let merged = Tracer::merge_ordered(vec![p0, p1, p2]);
         let seen: Vec<(f64, u32, u64)> = merged.events().map(|e| (e.t_ms, e.node, e.gid)).collect();
-        // No re-tagging: node 3 survives; t = 1.0 tie keeps part order.
-        assert_eq!(seen, vec![(1.0, 0, 10), (1.0, 1, 20), (2.0, 3, 10)]);
-        assert_eq!(merged.recorded(), 3);
-        assert_eq!(merged.capacity, 8);
+        // No re-tagging: node 3 survives; t = 1.0 tie keeps part order;
+        // the parts interleave by time.
+        assert_eq!(
+            seen,
+            vec![
+                (1.0, 0, 10),
+                (1.0, 1, 20),
+                (2.0, 3, 10),
+                (3.0, 2, 33),
+                (4.0, 2, 34)
+            ]
+        );
+        // Recorded and dropped counters sum; capacity pools across parts,
+        // so re-recording into the merged ring never drops a kept event.
+        assert_eq!(merged.recorded(), 8);
+        assert_eq!(merged.dropped(), 3);
+        assert_eq!(merged.capacity, 10);
+    }
+
+    #[test]
+    fn merge_sites_sums_capacity_and_drop_counters() {
+        let cap = |n| TraceConfig {
+            filter: TraceFilter::all(),
+            capacity: n,
+        };
+        // Site 0 overflowed (6 recorded, 3 kept); site 1 kept all it saw;
+        // site 2 saw nothing but still lends its capacity to the merge.
+        let mut s0 = Tracer::new(cap(3));
+        for i in 0..6u64 {
+            s0.record(ev(i as f64, TraceKind::NetSend, 0, i));
+        }
+        let mut s1 = Tracer::new(cap(5));
+        s1.record(ev(0.5, TraceKind::TxSubmit, 1, 100));
+        s1.record(ev(4.5, TraceKind::TxCommit, 1, 100));
+        let s2 = Tracer::new(cap(4));
+        let mut merged = Tracer::merge_ordered(vec![s0, s1, s2]);
+        assert_eq!(merged.len(), 5);
+        assert_eq!(merged.recorded(), 8);
+        assert_eq!(merged.dropped(), 3);
+        assert_eq!(merged.capacity, 12);
+        // The pooled capacity leaves headroom: filling it drops nothing,
+        // and only the first event past it counts as a drop.
+        for i in 0..7u64 {
+            merged.record(ev(10.0 + i as f64, TraceKind::NetSend, 2, 200 + i));
+        }
+        assert_eq!(merged.len(), 12);
+        assert_eq!(merged.dropped(), 3);
+        merged.record(ev(20.0, TraceKind::NetSend, 2, 300));
+        assert_eq!(merged.dropped(), 4);
+        assert_eq!(merged.recorded(), 16);
     }
 
     #[test]

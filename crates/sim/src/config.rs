@@ -475,11 +475,12 @@ pub struct SimConfig {
     /// for every shard count (DESIGN.md §15).
     pub metrics: Option<MetricsConfig>,
     /// Worker threads for the site-sharded engine (`1` = run everything on
-    /// the calling thread). Purely a parallelism knob: whether a run
-    /// decomposes by site is a function of the *rest* of the configuration
-    /// (see `shard::decomposable`), so the report is byte-identical for
-    /// every shard count, and a non-decomposable configuration simply runs
-    /// the monolithic loop regardless of this value.
+    /// the calling thread). Purely a parallelism knob: whether a run is
+    /// sharded, and with which lookahead, is a function of the *rest* of
+    /// the configuration (see `shard::decomposable` and
+    /// `shard::coupled_eligible`), so the report is byte-identical for
+    /// every shard count, and any other configuration simply runs the
+    /// monolithic loop regardless of this value.
     pub shards: usize,
 }
 

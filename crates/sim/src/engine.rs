@@ -458,7 +458,7 @@ impl Stats {
             .unwrap_or(0.0)
     }
 
-    /// Pools a peer logical process's statistics into this one (coupled
+    /// Pools a peer logical process's statistics into this one (sharded
     /// engine merge). Callers merge in site order, so every floating-point
     /// accumulation order — and with it every report byte — is a pure
     /// function of the configuration. Keys are mostly disjoint across LPs
@@ -629,18 +629,18 @@ pub struct Sim {
     metrics: Option<Box<MetricsRecorder>>,
     /// Cross-LP messages handled / emitted by this logical process
     /// (deterministic inputs to the `shard` metric category; always 0 in
-    /// the monolithic and decomposed engines).
+    /// the monolithic engine and in site-separable sharded runs).
     xmsg_in: u64,
     xmsg_out: u64,
     /// Events handled per [`Ev`] kind (profiling counters).
     ev_counts: [u64; Ev::KINDS],
-    // --- Coupled-engine (site-level logical process) state. All inert ---
+    // --- Sharded-engine (site-level logical process) state. All inert ---
     // --- in the monolithic engine: `owned` is `None` and nothing below ---
     // --- is touched.                                                   ---
-    /// `Some(site)` when this `Sim` is one logical process of the coupled
-    /// sharded engine, executing only the events of `site`. The full
-    /// topology is still constructed (node indices keep their global
-    /// meaning) but peer sites' nodes stay inert.
+    /// `Some(site)` when this `Sim` is one logical process of the sharded
+    /// engine, executing only the events of `site`. The full topology is
+    /// still constructed (node indices keep their global meaning) but peer
+    /// sites' nodes stay inert, with empty storage.
     owned: Option<usize>,
     /// Gid allocation stride. The monolithic engine strides by 1; an LP
     /// strides by the site count from a base of `site + 1`, so gids stay
@@ -677,11 +677,27 @@ pub struct Sim {
 impl Sim {
     /// Builds the simulator from a configuration, validating it first.
     pub fn new(cfg: SimConfig) -> Result<Self, SimConfigError> {
+        Sim::build(cfg, None)
+    }
+
+    /// [`Sim::new`] for the whole topology (`owned = None`) or for one
+    /// site's logical process (`owned = Some(site)`). An LP builds real
+    /// storage only for its owned site; peer nodes get an empty database,
+    /// so a stray access to a peer's storage panics instead of reading
+    /// stale data. A whole-topology `Sim` of a sharded configuration
+    /// builds none: its run hands the configuration to per-site LPs.
+    fn build(cfg: SimConfig, owned: Option<usize>) -> Result<Self, SimConfigError> {
         cfg.validate()?;
+        let monolithic = crate::shard::lookahead(&cfg).is_none();
         let nodes = (0..cfg.params.sites())
-            .map(|_| {
-                let mut db = Database::new(cfg.params.n_granules);
-                db.load_default();
+            .map(|site| {
+                let db = if owned.map_or(monolithic, |o| o == site) {
+                    let mut db = Database::new(cfg.params.n_granules);
+                    db.load_default();
+                    db
+                } else {
+                    Database::new(0)
+                };
                 NodeState {
                     cpu: Fcfs::new(0.0),
                     disk: Fcfs::new(0.0),
@@ -770,7 +786,7 @@ impl Sim {
             wfg: WaitForGraph::new(),
             probe_targets: Vec::new(),
             val_buf: String::new(),
-            owned: None,
+            owned,
             gid_stride: 1,
             inbox: BinaryHeap::new(),
             inbox_seqs: vec![0; sites],
@@ -784,19 +800,18 @@ impl Sim {
         })
     }
 
-    /// Builds one site-level logical process of the coupled engine: the
-    /// full topology of `cfg`, but executing only `site`'s events. Gids
-    /// stride by the site count from a base of `site + 1` so allocation
-    /// needs no coordination, and the workload stream is seeded by
-    /// `site_seed(seed, site)` — a pure function of the configuration, so
-    /// the LP ensemble (and everything downstream) is independent of the
-    /// shard count.
+    /// Builds one site-level logical process of the sharded engine: the
+    /// full topology of `cfg`, but executing only `site`'s events and
+    /// holding only `site`'s storage. Gids stride by the site count from a
+    /// base of `site + 1` so allocation needs no coordination, and the
+    /// workload stream is seeded by `site_seed(seed, site)` — a pure
+    /// function of the configuration, so the LP ensemble (and everything
+    /// downstream) is independent of the shard count.
     pub(crate) fn new_lp(cfg: SimConfig, site: usize) -> Result<Self, SimConfigError> {
         let sites = cfg.params.sites();
         let mut lp_cfg = cfg;
         lp_cfg.seed = crate::shard::site_seed(lp_cfg.seed, site);
-        let mut sim = Sim::new(lp_cfg)?;
-        sim.owned = Some(site);
+        let mut sim = Sim::build(lp_cfg, Some(site))?;
         sim.next_gid = site as u64 + 1;
         sim.gid_stride = sites as u64;
         Ok(sim)
@@ -841,27 +856,20 @@ impl Sim {
     pub fn run_checked_instrumented(
         mut self,
     ) -> Result<(SimReport, Option<Tracer>, Option<MetricsRecorder>), SimError> {
-        // Site-separable configurations decompose into independent
-        // per-site sub-simulations run on `cfg.shards` worker threads;
-        // the merged report is byte-identical for every shard count (see
-        // the `shard` module docs). Everything else — cross-site
-        // workloads, crashes, faults, partitions — runs the monolithic
-        // loop below.
-        if crate::shard::decomposable(&self.cfg) {
-            return crate::shard::run_decomposed(self.cfg);
-        }
-        // Cross-site configurations with a positive network delay couple
-        // the site-level logical processes through the conservative
-        // horizon machinery instead (lookahead = α). Eligibility is again
-        // a pure function of the configuration excluding `shards`, so the
-        // chosen engine — and every report byte — cannot depend on the
-        // shard count.
-        if crate::shard::coupled_eligible(&self.cfg) {
-            return crate::shard::run_coupled(self.cfg);
+        // Site-separable configurations (lookahead +∞) and cross-site
+        // configurations with a positive network delay (lookahead α) run
+        // as conservatively synchronized per-site logical processes on
+        // `cfg.shards` worker threads. The choice is a pure function of
+        // the configuration excluding `shards`, so the merged report is
+        // byte-identical for every shard count (see the `shard` module
+        // docs). Everything else — crashes, faults, partitions, α = 0 —
+        // runs the monolithic loop below.
+        if let Some(lookahead) = crate::shard::lookahead(&self.cfg) {
+            return crate::shard::run_sharded(self.cfg, lookahead);
         }
         if self.cfg.shards > 1 {
-            // `--shards` was requested but no parallel decomposition
-            // applies: run monolithically and record the fallback in the
+            // `--shards` was requested but the sharded engine does not
+            // apply: run monolithically and record the fallback in the
             // process-global telemetry (never in the report, which must
             // stay byte-identical to a `--shards 1` run).
             carat_obs::shardstats::note_fallback();
@@ -981,7 +989,7 @@ impl Sim {
     }
 
     /// Records one boundary's batch of samples at virtual time `b`. The
-    /// monolithic engine samples every site; a coupled-engine LP samples
+    /// monolithic engine samples every site; a sharded-engine LP samples
     /// only its owned site (peer node states are inert there), so the
     /// merged timeseries covers each site exactly once. Values are pure
     /// functions of `(state, b)` — no wall clock, no RNG — and kinds are
@@ -1085,8 +1093,8 @@ impl Sim {
 
     /// End-of-run post-processing + report assembly. Pure bookkeeping on
     /// final state: no events, no statistics beyond the report itself.
-    /// `pub(crate)` so the coupled-engine driver can wind the merged LP
-    /// down after `absorb`.
+    /// `pub(crate)` so the sharded driver can wind the merged LP down
+    /// after `absorb`.
     pub(crate) fn wind_down(&mut self, end: Time) -> SimReport {
         // A node still inside a repair outage at the cutoff has not run
         // journal recovery yet, so its storage can hold in-place updates of
@@ -1911,16 +1919,17 @@ impl Sim {
         }
     }
 
-    // --- The coupled conservative engine: one `Sim` per *site*, run as a
+    // --- The sharded conservative engine: one `Sim` per *site*, run as a
     // --- logical process (LP). Peers' node states stay inert; every
     // --- cross-site interaction is a timestamped `XMsg` delivered at
-    // --- `send time + α`, which is also the conservative lookahead.
+    // --- `send time + α`, which is also the coupled lookahead (a
+    // --- site-separable run sends none, and its lookahead is +∞).
 
     /// Primes this LP's calendar: the submissions of the users homed at
     /// the owned site plus the warm-up boundary. Crash, fault, and
-    /// partition events are excluded by coupled-engine eligibility.
+    /// partition events are excluded by sharded-engine eligibility.
     pub(crate) fn lp_prime(&mut self) {
-        let owned = self.owned.expect("coupled engine");
+        let owned = self.owned.expect("sharded engine");
         for u in 0..self.users.len() {
             if self.users[u].0 == owned {
                 self.sched.schedule(0.0, Ev::Submit { user: u });
@@ -2042,7 +2051,7 @@ impl Sim {
             }
             XMsg::DmRelease => {
                 self.ev_counts[3] += 1; // ev_net_done
-                let owned = self.owned.expect("coupled engine");
+                let owned = self.owned.expect("sharded engine");
                 self.free_dm(owned);
             }
         }
@@ -2057,7 +2066,7 @@ impl Sim {
     /// always tracks its transactions for probe routing and the
     /// end-of-run census).
     fn migrate_out(&mut self, id: TxId, to: usize, ms: Time) {
-        let owned = self.owned.expect("coupled engine");
+        let owned = self.owned.expect("sharded engine");
         debug_assert_ne!(to, owned, "programs never hop to the current site");
         let now = self.sched.now();
         let token = id.token();
@@ -2118,7 +2127,7 @@ impl Sim {
     /// (token — and all state anchored to it — stays stable) or insert a
     /// fresh slab entry, then complete the `Net` op it was parked on.
     fn migrate_in(&mut self, txn: Box<Txn>) {
-        let owned = self.owned.expect("coupled engine");
+        let owned = self.owned.expect("sharded engine");
         let mut txn = *txn;
         let gid = txn.gid;
         txn.at_site = owned;
@@ -2155,7 +2164,7 @@ impl Sim {
         ttl: u8,
         local_delay: Time,
     ) {
-        let owned = self.owned.expect("coupled engine");
+        let owned = self.owned.expect("sharded engine");
         let Some(h) = self.txs.get(holder) else {
             return;
         };
@@ -2196,7 +2205,7 @@ impl Sim {
         if ttl == 0 {
             return;
         }
-        let owned = self.owned.expect("coupled engine");
+        let owned = self.owned.expect("sharded engine");
         let Some(&target) = self.gid_index.get(&target_gid) else {
             return;
         };
@@ -2327,13 +2336,20 @@ impl Sim {
         self.stats.merge(std::mem::take(&mut other.stats));
     }
 
+    /// Blocks of storage each node holds (an LP loads only its owned
+    /// site's database).
+    #[cfg(test)]
+    pub(crate) fn storage_blocks(&self) -> Vec<u32> {
+        self.nodes.iter().map(|n| n.db.n_blocks()).collect()
+    }
+
     /// Takes the lifecycle tracer out (the driver collects per-LP tracers
     /// in site order before merging LP state).
     pub(crate) fn take_tracer(&mut self) -> Option<Tracer> {
         self.tracer.take().map(|b| *b)
     }
 
-    /// Flushes the remaining sample boundaries up to `end`. The coupled
+    /// Flushes the remaining sample boundaries up to `end`. The sharded
     /// driver calls this when an LP retires *without* a budget trip: the
     /// retirement condition (`min(next, horizon) > end`) guarantees no
     /// further event at or below `end` will ever run here, so the
@@ -3929,9 +3945,8 @@ impl Sim {
                 counters.add(Ev::LABELS[i], c);
             }
         }
-        // High-water marks are per-LP maxima after a coupled merge (the
-        // `absorbed_*` fields are zero in the monolithic engine), the same
-        // max rule as the decomposed path.
+        // High-water marks are per-LP maxima after a sharded merge (the
+        // `absorbed_*` fields are zero in the monolithic engine).
         counters.record_max(
             "sched_heap_hwm",
             self.sched.high_water().max(self.absorbed_sched_hwm) as u64,

@@ -64,12 +64,15 @@
 //!
 //! ## Site-sharded execution
 //!
-//! [`SimConfig::shards`] runs site-separable configurations (all-local
-//! workloads with no crashes, faults, partitions, or replication) as
-//! independent per-site sub-simulations on worker threads, merged back in
-//! site order — see the [`shard`] module. The shard count is purely a
-//! parallelism knob: the report, counters, and trace are byte-identical
-//! for every value, and coupled configurations ignore it.
+//! [`SimConfig::shards`] sets the worker threads of the site-sharded
+//! engine — see the [`shard`] module. It runs one logical process per
+//! site under one conservative driver: site-separable configurations
+//! (all-local workloads with no crashes, faults, partitions, or
+//! replication) with lookahead `+∞`, so no message is ever sent, and
+//! cross-site configurations with α > 0 with lookahead α. The shard count
+//! is purely a parallelism knob: the report, counters, trace, and metrics
+//! are byte-identical for every value, and every other configuration
+//! runs the monolithic loop whatever its value.
 //!
 //! ## Fidelity notes (vs. the real testbed)
 //!

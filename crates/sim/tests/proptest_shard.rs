@@ -1,24 +1,27 @@
-//! Property tests for the coupled (cross-site) sharded engine: for any
-//! eligible configuration, the report *and* the lifecycle trace must be
-//! byte-identical for every shard count — the shard knob may choose the
-//! thread layout, never the results (DESIGN.md §14).
+//! Property tests for the sharded engine: for any eligible configuration
+//! — coupled (cross-site, lookahead α) or site-separable (lookahead ∞) —
+//! the report *and* the lifecycle trace must be byte-identical for every
+//! shard count — the shard knob may choose the thread layout, never the
+//! results (DESIGN.md §14).
 
 use carat_sim::shard::{coupled_eligible, decomposable};
 use carat_sim::{CcProtocol, DeadlockMode, Sim, SimConfig, TraceConfig};
 use carat_workload::{StandardWorkload, SystemParams};
 use proptest::prelude::*;
 
-/// A random coupled-eligible configuration: a standard cross-site
-/// workload (they all carry DRO and DU users), 2–4 sites, a positive
-/// network delay, and a concurrency protocol that couples (2PL needs
-/// probe-based deadlock detection; timestamp ordering always qualifies).
+/// A random sharded-engine configuration, 2–4 sites and a concurrency
+/// protocol that couples (2PL needs probe-based deadlock detection;
+/// timestamp ordering always qualifies). A standard cross-site workload
+/// (they all carry DRO and DU users) gets a positive network delay and
+/// runs coupled; LB8 (local-only users) gets α = 0 and runs site-separable.
 /// Windows are kept short — the property multiplies into several full
 /// simulations per case.
-fn arb_coupled_cfg() -> impl Strategy<Value = SimConfig> {
-    const WORKLOADS: [StandardWorkload; 3] = [
+fn arb_sharded_cfg() -> impl Strategy<Value = SimConfig> {
+    const WORKLOADS: [StandardWorkload; 4] = [
         StandardWorkload::Mb4,
         StandardWorkload::Mb8,
         StandardWorkload::Ub6,
+        StandardWorkload::Lb8,
     ];
     const PROTOCOLS: [CcProtocol; 3] = [
         CcProtocol::TwoPhaseLocking,
@@ -37,7 +40,11 @@ fn arb_coupled_cfg() -> impl Strategy<Value = SimConfig> {
             let (wl, cc) = (WORKLOADS[wl_idx], PROTOCOLS[cc_idx]);
             let mut cfg = SimConfig::new(wl.spec(sites), n, seed);
             cfg.params = SystemParams::with_sites(sites);
-            cfg.params.comm_delay_ms = f64::from(alpha_steps) * 1.25;
+            cfg.params.comm_delay_ms = if wl == StandardWorkload::Lb8 {
+                0.0
+            } else {
+                f64::from(alpha_steps) * 1.25
+            };
             cfg.cc = cc;
             cfg.deadlock_mode = DeadlockMode::Probes;
             cfg.warmup_ms = 500.0;
@@ -51,12 +58,12 @@ proptest! {
 
     #[test]
     fn coupled_runs_are_shard_count_invariant(
-        cfg in arb_coupled_cfg(),
+        cfg in arb_sharded_cfg(),
         shards in 2usize..=6,
     ) {
         prop_assert!(
-            coupled_eligible(&cfg) && !decomposable(&cfg),
-            "the generator must produce coupled-engine configs"
+            coupled_eligible(&cfg) != decomposable(&cfg),
+            "the generator must produce exactly one kind of sharded config"
         );
         let run = |k: usize| {
             let mut c = cfg.clone();

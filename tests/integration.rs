@@ -452,7 +452,7 @@ fn crash_determinism_and_comparability() {
     // A crash costs throughput relative to the undisturbed run. The
     // control schedules its crash far past the horizon: it never fires,
     // but it keeps the run on the monolithic engine path (an all-local
-    // crash-free config would decompose by site onto per-site seed
+    // crash-free config would run on the sharded engine's per-site seed
     // streams), so both runs replay the identical sample path up to the
     // real crash and the comparison stays paired.
     let clean = run(vec![(1_000_000_000.0, 0)]);
