@@ -14,21 +14,21 @@ echo "== cargo build --release --examples" && cargo build --release --examples
 # stalling it. Generous — the suite normally finishes in a fraction.
 echo "== cargo test -q (20 min timeout)" && timeout 1200 cargo test -q
 echo "== sweep determinism gate"
-cargo run --release -p carat-bench --bin exp_bench -- --emit --threads 4 --out "${TMPDIR:-/tmp}/sweep_par.json"
-cargo run --release -p carat-bench --bin exp_bench -- --emit --sequential --out "${TMPDIR:-/tmp}/sweep_seq.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit --threads 4 --out "${TMPDIR:-/tmp}/sweep_par.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit --sequential --out "${TMPDIR:-/tmp}/sweep_seq.json"
 cmp "${TMPDIR:-/tmp}/sweep_par.json" "${TMPDIR:-/tmp}/sweep_seq.json"
 echo "== sweep determinism gate (acceleration on)"
 # Accelerated solves must also be byte-identical across thread counts.
-cargo run --release -p carat-bench --bin exp_bench -- --emit --accel anderson --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
-cargo run --release -p carat-bench --bin exp_bench -- --emit --accel anderson --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit --accel anderson --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit --accel anderson --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 cmp "${TMPDIR:-/tmp}/sweep_acc_par.json" "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 echo "== solver iteration regression gate"
 # Plain per-point counts within +10% of the pinned reference; accelerated
 # totals at most 70% of the plain total (DESIGN.md §12).
-cargo run --release -p carat-bench --bin exp_bench -- --check-iters
+cargo run --release -p carat-bench --bin exp -- bench --check-iters
 echo "== sim determinism gate"
-cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"
-cargo run --release -p carat-bench --bin exp_bench -- --emit-sim --sequential --out "${TMPDIR:-/tmp}/sim_seq.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit-sim --sequential --out "${TMPDIR:-/tmp}/sim_seq.json"
 cmp "${TMPDIR:-/tmp}/sim_par.json" "${TMPDIR:-/tmp}/sim_seq.json"
 # Shard determinism: the per-site conservative engine must produce
 # byte-identical reports for every worker-thread count (DESIGN.md §14:
@@ -53,8 +53,8 @@ echo "== partition determinism gate"
 # The partition experiment (availability counters, catch-up replay, and
 # the model-vs-sim divergence gate) must be byte-identical across thread
 # counts, like every other sweep.
-CARAT_MEASURE_MS=120000 cargo run --release -p carat-bench --bin exp_partition -- --threads 4 > "${TMPDIR:-/tmp}/part_par.json"
-CARAT_MEASURE_MS=120000 cargo run --release -p carat-bench --bin exp_partition -- --sequential > "${TMPDIR:-/tmp}/part_seq.json"
+CARAT_MEASURE_MS=120000 cargo run --release -p carat-bench --bin exp -- partition --threads 4 > "${TMPDIR:-/tmp}/part_par.json"
+CARAT_MEASURE_MS=120000 cargo run --release -p carat-bench --bin exp -- partition --sequential > "${TMPDIR:-/tmp}/part_seq.json"
 cmp "${TMPDIR:-/tmp}/part_par.json" "${TMPDIR:-/tmp}/part_seq.json"
 echo "== trace neutrality gate"
 # Tracing must not change a single report byte, and two traced runs of one

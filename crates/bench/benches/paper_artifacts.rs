@@ -3,7 +3,7 @@
 //! Each group benchmarks regenerating that artifact's *model* series (the
 //! analytical solve across the n sweep) plus one representative simulated
 //! measurement point. The heavy multi-seed measurement sweeps live in the
-//! `exp_*` binaries; these benchmarks establish that the solver is fast
+//! `exp` binary; these benchmarks establish that the solver is fast
 //! enough to be used interactively (the paper's whole point: an analytical
 //! model answers in milliseconds what a testbed run answers in hours).
 

@@ -1,4 +1,4 @@
-//! Sweep-engine benchmark and determinism harness.
+//! `exp bench`: the sweep-engine benchmark and determinism harness.
 //!
 //! Modes:
 //!
@@ -8,15 +8,15 @@
 //!   canonical JSON where it must, times the solver-variant matrix
 //!   (acceleration off/Anderson × 1/N threads), and writes everything —
 //!   including per-worker pool telemetry and per-point accelerated
-//!   iteration counts — to `BENCH_sweep.json`; then runs the **simulator section**: the
-//!   reference LB8/MB8 sweep timed for events/sec against the recorded
-//!   pre-fast-path baseline (written to `BENCH_sim.json`) plus a
-//!   parallel-vs-sequential replication determinism check and two
-//!   shard-scaling matrices (byte-identity asserted, events/sec and
-//!   speedup recorded): a site-separable one (8-site LB8, lookahead ∞,
-//!   labelled `"decomposed"`) and a cross-site coupled one (8-site MB4
-//!   with α > 0 and probes, null-message ratio recorded from the shard
-//!   telemetry);
+//!   iteration counts — to `BENCH_sweep.json` (or `--out PATH`); then runs
+//!   the **simulator section**: the reference LB8/MB8 sweep timed for
+//!   events/sec against the recorded pre-fast-path baseline (written to
+//!   `BENCH_sim.json`) plus a parallel-vs-sequential replication
+//!   determinism check and two shard-scaling matrices (byte-identity
+//!   asserted, events/sec and speedup recorded): a site-separable one
+//!   (8-site LB8, lookahead ∞, labelled `"decomposed"`) and a cross-site
+//!   coupled one (8-site MB4 with α > 0 and probes, null-message ratio
+//!   recorded from the shard telemetry);
 //! * **emit** (`--emit [--out PATH]`): solves the same model grid
 //!   honouring the engine flags (`--threads N`, `--sequential`,
 //!   `--no-warm`) and the solver flag (`--accel off|anderson`) and writes
@@ -26,8 +26,7 @@
 //! * **emit-sim** (`--emit-sim [--reps R] [--shards K] [--out PATH]`):
 //!   runs R replications of every reference sim point on the
 //!   deterministic pool and writes the canonical replicated JSON. CI
-//!   byte-compares `--threads 4` against `--sequential`, and `--shards`
-//!   values against each other;
+//!   byte-compares `--threads 4` against `--sequential`;
 //! * **check-iters** (`--check-iters`): iteration-count regression gate —
 //!   resolves the grid cold and fails if any reference point needs more
 //!   than 110% of its recorded cold iteration count, or if Anderson
@@ -37,21 +36,16 @@
 
 use std::time::Instant;
 
-use carat::model::{Accel, ModelConfig, ModelOptions};
+use carat::model::{Accel, ConvergenceInfo, ModelOptions};
 use carat::obs::{shardstats, CounterRegistry, MetricsConfig, ShardStatsSnapshot};
 use carat::sim::{DeadlockMode, Sim, SimConfig};
 use carat::workload::{StandardWorkload, SystemParams};
 use carat_bench::{
-    chain_to_json, json_f64, replicated_to_json, run_replications, run_tasks_timed, solve_chain,
-    ModelPoint, PoolStats, SweepOptions, N_SWEEP,
+    chain_to_json, json_f64, model_chain, replicated_to_json, run_replications, run_tasks_timed,
+    solve_chain, ModelPoint, PoolStats, SweepOptions,
 };
 
-const WORKLOADS: [StandardWorkload; 4] = [
-    StandardWorkload::Lb8,
-    StandardWorkload::Mb4,
-    StandardWorkload::Mb8,
-    StandardWorkload::Ub6,
-];
+use crate::args::{Args, Mode};
 
 /// Benchmark repetitions per variant (minimum wall clock is reported).
 const REPS: usize = 5;
@@ -73,7 +67,7 @@ const SIM_SEED: u64 = 7;
 
 /// Default replications per point in `--emit-sim` and the determinism
 /// check.
-const SIM_REPS: u32 = 3;
+pub const SIM_REPS: u32 = 3;
 
 /// Events/sec of the engine *before* the fast path (slab store, in-place
 /// storage I/O, fx-hashed tables, dense phase accumulator) on exactly this
@@ -85,17 +79,16 @@ const BASELINE_EVENTS_PER_SEC: f64 = 1.90e6;
 /// [`SIM_SEED`]. `shards` sets the engine's worker-thread count on every
 /// point — the results are byte-identical for every value.
 fn sim_points(shards: usize) -> (Vec<String>, Vec<SimConfig>) {
-    let mut labels = Vec::new();
-    let mut cfgs = Vec::new();
-    for &(wl, n) in &SIM_POINTS {
-        let mut cfg = SimConfig::new(wl.spec(2), n, SIM_SEED);
-        cfg.warmup_ms = 10_000.0;
-        cfg.measure_ms = 120_000.0;
-        cfg.shards = shards;
-        labels.push(format!("{wl}/n{n}"));
-        cfgs.push(cfg);
-    }
-    (labels, cfgs)
+    SIM_POINTS
+        .iter()
+        .map(|&(wl, n)| {
+            let mut cfg = SimConfig::new(wl.spec(2), n, SIM_SEED);
+            cfg.warmup_ms = 10_000.0;
+            cfg.measure_ms = 120_000.0;
+            cfg.shards = shards;
+            (format!("{wl}/n{n}"), cfg)
+        })
+        .unzip()
 }
 
 /// Shard-scaling scenario: an 8-site LB8 cluster (all-local users, so the
@@ -110,6 +103,12 @@ fn shard_scenario(shards: usize) -> SimConfig {
     cfg.measure_ms = 120_000.0;
     cfg.shards = shards;
     cfg
+}
+
+/// `x` rounded to `digits` decimals, as canonical JSON.
+fn json_round(x: f64, digits: i32) -> String {
+    let scale = 10f64.powi(digits);
+    json_f64((x * scale).round() / scale)
 }
 
 /// Times the shard-scaling matrix, asserts byte-identical reports for
@@ -150,9 +149,9 @@ fn bench_shards() -> String {
         rows.push(format!(
             "      {{\"shards\": {shards}, \"wall_ms\": {}, \"events_per_sec\": {}, \
              \"speedup_vs_1\": {}}}",
-            json_f64((best_ms * 1000.0).round() / 1000.0),
-            json_f64(eps.round()),
-            json_f64((speedup * 1000.0).round() / 1000.0),
+            json_round(best_ms, 3),
+            json_round(eps, 0),
+            json_round(speedup, 3),
         ));
     }
     println!("  reports byte-identical across shard counts: OK");
@@ -249,15 +248,15 @@ fn bench_shards_xsite() -> String {
              \"speedup_vs_1\": {}, \"messages\": {}, \"null_advances\": {}, \
              \"null_message_ratio\": {}, \"busy_ms\": {}, \"stall_ms\": {}, \
              \"stall_pct\": {}}}",
-            json_f64((best_ms * 1000.0).round() / 1000.0),
-            json_f64(eps.round()),
-            json_f64((speedup * 1000.0).round() / 1000.0),
+            json_round(best_ms, 3),
+            json_round(eps, 0),
+            json_round(speedup, 3),
             best_stats.messages,
             best_stats.null_advances,
-            json_f64((null_ratio * 1000.0).round() / 1000.0),
-            json_f64((busy_ms * 1000.0).round() / 1000.0),
-            json_f64((stall_ms * 1000.0).round() / 1000.0),
-            json_f64((stall_pct * 10.0).round() / 10.0),
+            json_round(null_ratio, 3),
+            json_round(busy_ms, 3),
+            json_round(stall_ms, 3),
+            json_round(stall_pct, 1),
         ));
     }
     println!("  reports byte-identical across shard counts: OK");
@@ -348,12 +347,12 @@ fn bench_metrics_overhead() -> String {
          \"events_per_sec_off\": {},\n    \"events_per_sec_on\": {},\n    \
          \"overhead_pct\": {},\n    \"ns_per_sample\": {}\n  }}",
         json_f64(METRICS_SAMPLE_MS),
-        json_f64((off_ms * 1000.0).round() / 1000.0),
-        json_f64((on_ms * 1000.0).round() / 1000.0),
-        json_f64(eps_off.round()),
-        json_f64(eps_on.round()),
-        json_f64((overhead_pct * 100.0).round() / 100.0),
-        json_f64((ns_per_sample * 10.0).round() / 10.0),
+        json_round(off_ms, 3),
+        json_round(on_ms, 3),
+        json_round(eps_off, 0),
+        json_round(eps_on, 0),
+        json_round(overhead_pct, 2),
+        json_round(ns_per_sample, 1),
     )
 }
 
@@ -367,54 +366,36 @@ const REFERENCE_COLD_ITERS: [usize; 20] = [
     34, 38, 40, 41, 54, // UB6
 ];
 
-/// One warm-startable chain per workload, ascending n, every point solved
-/// with `mopts`.
-fn chains(mopts: &ModelOptions) -> Vec<Vec<ModelPoint>> {
-    WORKLOADS
-        .iter()
-        .map(|&wl| {
-            N_SWEEP
-                .iter()
-                .map(|&n| {
-                    let mut p =
-                        ModelPoint::new(format!("{wl}/n{n}"), ModelConfig::new(wl.spec(2), n));
-                    p.opts = mopts.clone();
-                    p
-                })
-                .collect()
-        })
-        .collect()
+/// Default model options with fixed-point acceleration `accel`.
+fn with_accel(accel: Accel) -> ModelOptions {
+    ModelOptions {
+        accel,
+        ..ModelOptions::default()
+    }
 }
 
-/// Per-point convergence record of one grid solve.
-struct PointIters {
-    label: String,
-    iterations: usize,
-    warm_started: bool,
-    accel_accepted: usize,
-    accel_rejected: usize,
-}
+/// Each point's label and convergence record, in grid order.
+type PointIters = Vec<(String, ConvergenceInfo)>;
 
 /// Solves the whole grid under the given options and renders one canonical
 /// JSON array over every point, in workload-then-n order. Warm sweeps keep
 /// each workload's chain in one task (the warm-start neighbor is the
 /// previous point of the chain); cold sweeps have no such dependency, so
 /// every point becomes its own task.
-fn solve_grid(opts: &SweepOptions, mopts: &ModelOptions) -> (String, Vec<PointIters>, PoolStats) {
+fn solve_grid(opts: &SweepOptions, mopts: &ModelOptions) -> (String, PointIters, PoolStats) {
+    let grid: Vec<Vec<ModelPoint>> = StandardWorkload::ALL
+        .iter()
+        .map(|&wl| model_chain(wl, mopts))
+        .collect();
     let (points, reports, pool) = if opts.warm {
-        let (solved, pool) = run_tasks_timed(chains(mopts), opts, |_, pts| {
+        let (solved, pool) = run_tasks_timed(grid, opts, |_, pts| {
             let reports = solve_chain(&pts, true);
             (pts, reports)
         });
-        let mut points = Vec::new();
-        let mut reports = Vec::new();
-        for (pts, reps) in solved {
-            points.extend(pts);
-            reports.extend(reps);
-        }
-        (points, reports, pool)
+        let (points, reports): (Vec<_>, Vec<_>) = solved.into_iter().unzip();
+        (points.concat(), reports.concat(), pool)
     } else {
-        let points: Vec<ModelPoint> = chains(mopts).into_iter().flatten().collect();
+        let points = grid.concat();
         let (reports, pool) = run_tasks_timed(points.clone(), opts, |_, p| {
             solve_chain(std::slice::from_ref(&p), false)
                 .pop()
@@ -424,15 +405,9 @@ fn solve_grid(opts: &SweepOptions, mopts: &ModelOptions) -> (String, Vec<PointIt
     };
     let json = chain_to_json(&points, &reports);
     let iters = points
-        .iter()
+        .into_iter()
         .zip(&reports)
-        .map(|(p, r)| PointIters {
-            label: p.label.clone(),
-            iterations: r.convergence.iterations,
-            warm_started: r.convergence.warm_started,
-            accel_accepted: r.convergence.accel_accepted,
-            accel_rejected: r.convergence.accel_rejected,
-        })
+        .map(|(p, r)| (p.label, r.convergence))
         .collect();
     (json, iters, pool)
 }
@@ -448,19 +423,6 @@ fn time_grid(opts: &SweepOptions, mopts: &ModelOptions, reps: usize) -> f64 {
     best
 }
 
-/// Parses the solver-variant flag (`--accel`); everything else keeps its
-/// default. An invalid value aborts rather than silently running a
-/// different experiment than asked.
-fn model_opts_from_args(args: &[String]) -> ModelOptions {
-    let mut mopts = ModelOptions::default();
-    if let Some(i) = args.iter().position(|a| a == "--accel") {
-        let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-        mopts.accel =
-            Accel::parse(v).unwrap_or_else(|| panic!("--accel expects off|anderson, got {v:?}"));
-    }
-    mopts
-}
-
 fn write_or_print(json: &str, out: Option<&str>) {
     match out {
         Some(path) => {
@@ -471,44 +433,32 @@ fn write_or_print(json: &str, out: Option<&str>) {
     }
 }
 
-fn emit(opts: &SweepOptions, mopts: &ModelOptions, out: Option<&str>) {
-    let (json, _, _) = solve_grid(opts, mopts);
-    write_or_print(&json, out);
-}
-
 /// The `--check-iters` regression gate (see module docs). Exits non-zero
 /// on any regression so CI can call it directly.
 fn check_iters() {
-    let seq = SweepOptions::sequential();
-    let cold = |accel: Accel| {
-        let mopts = ModelOptions {
-            accel,
-            ..ModelOptions::default()
-        };
-        solve_grid(
-            &SweepOptions {
-                warm: false,
-                ..seq.clone()
-            },
-            &mopts,
-        )
-        .1
+    let seq = SweepOptions {
+        warm: false,
+        ..SweepOptions::sequential()
     };
+    let cold = |accel| solve_grid(&seq, &with_accel(accel)).1;
     let plain = cold(Accel::Off);
     assert_eq!(plain.len(), REFERENCE_COLD_ITERS.len());
     let mut failed = false;
-    for (p, &reference) in plain.iter().zip(&REFERENCE_COLD_ITERS) {
+    for ((label, c), &reference) in plain.iter().zip(&REFERENCE_COLD_ITERS) {
         let limit = (reference as f64 * 1.10).floor() as usize;
-        if p.iterations > limit {
+        if c.iterations > limit {
             eprintln!(
-                "ITER REGRESSION {}: {} cold iterations (recorded {reference}, limit {limit})",
-                p.label, p.iterations
+                "ITER REGRESSION {label}: {} cold iterations (recorded {reference}, limit {limit})",
+                c.iterations
             );
             failed = true;
         }
     }
     let reference_total: usize = REFERENCE_COLD_ITERS.iter().sum();
-    let total: usize = cold(Accel::Anderson).iter().map(|p| p.iterations).sum();
+    let total: usize = cold(Accel::Anderson)
+        .iter()
+        .map(|(_, c)| c.iterations)
+        .sum();
     let saved = 1.0 - total as f64 / reference_total as f64;
     println!(
         "anderson acceleration, {total} iterations vs {reference_total} recorded cold \
@@ -584,10 +534,10 @@ fn bench_sim(determinism_threads: usize) {
             .map(|l| format!("\"{l}\""))
             .collect::<Vec<_>>()
             .join(", "),
-        json_f64((best_ms * 1000.0).round() / 1000.0),
-        json_f64(events_per_sec.round()),
+        json_round(best_ms, 3),
+        json_round(events_per_sec, 0),
         json_f64(BASELINE_EVENTS_PER_SEC),
-        json_f64((speedup * 1000.0).round() / 1000.0),
+        json_round(speedup, 3),
         shards_json,
         shards_xsite_json,
         metrics_json,
@@ -597,43 +547,23 @@ fn bench_sim(determinism_threads: usize) {
     println!("\nwrote BENCH_sim.json");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_env_args();
-    let mopts = model_opts_from_args(&args);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str);
+/// Runs the mode `args.mode` selects.
+pub fn run(args: &Args, _: f64) {
+    let out = args.out.as_deref();
+    match args.mode {
+        Mode::Emit => {
+            write_or_print(&solve_grid(&args.sweep, &with_accel(args.accel)).0, out);
+        }
+        Mode::EmitSim => write_or_print(&sim_json(&args.sweep, args.reps, args.shards), out),
+        Mode::CheckIters => check_iters(),
+        Mode::Bench => bench(&args.sweep, out),
+    }
+}
 
-    if args.iter().any(|a| a == "--emit") {
-        emit(&opts, &mopts, out);
-        return;
-    }
-    if args.iter().any(|a| a == "--check-iters") {
-        check_iters();
-        return;
-    }
-    if args.iter().any(|a| a == "--emit-sim") {
-        let reps = args
-            .iter()
-            .position(|a| a == "--reps")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(SIM_REPS)
-            .max(1);
-        let shards = args
-            .iter()
-            .position(|a| a == "--shards")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
-        write_or_print(&sim_json(&opts, reps, shards), out);
-        return;
-    }
-
+/// The default mode: determinism gates, then the timed model sweeps
+/// (written to `out`, default `BENCH_sweep.json`) and the simulator
+/// section (written to `BENCH_sim.json`).
+fn bench(opts: &SweepOptions, out: Option<&str>) {
     let mk = |threads: usize, warm: bool| SweepOptions {
         threads,
         warm,
@@ -664,10 +594,7 @@ fn main() {
         warm_json, warm_par_json,
         "parallel warm sweep diverged from sequential"
     );
-    let anderson = ModelOptions {
-        accel: Accel::Anderson,
-        ..ModelOptions::default()
-    };
+    let anderson = with_accel(Accel::Anderson);
     let (accel_seq_json, anderson_iters, _) = solve_grid(&variants[0].1, &anderson);
     assert_eq!(
         accel_seq_json,
@@ -697,7 +624,7 @@ fn main() {
     let speedup_warm = wall("cold_seq") / wall("warm_seq");
     println!("\n  parallel speedup (cold_seq / cold_par): {speedup_par:.2}x");
     println!("  warm-start speedup (cold_seq / warm_seq): {speedup_warm:.2}x");
-    let total = |iters: &[PointIters]| -> usize { iters.iter().map(|p| p.iterations).sum() };
+    let total = |iters: &PointIters| -> usize { iters.iter().map(|(_, c)| c.iterations).sum() };
     println!(
         "  iterations: {} cold -> {} warm, accelerated cold: {} anderson",
         total(&cold_iters),
@@ -721,7 +648,7 @@ fn main() {
             matrix.push(format!(
                 "    {{\"accel\": \"{accel_name}\", \"threads\": {threads}, \
                  \"wall_ms\": {}, \"iterations\": {iterations}}}",
-                json_f64((ms * 1000.0).round() / 1000.0),
+                json_round(ms, 3),
             ));
             if threads == 1 && opts.threads == 1 {
                 break;
@@ -734,7 +661,7 @@ fn main() {
     let pool_json = format!(
         "{{\"threads\": {}, \"wall_ms\": {}, \"workers\": [{}]}}",
         warm_pool.workers.len(),
-        json_f64((warm_pool.wall_ms * 1000.0).round() / 1000.0),
+        json_round(warm_pool.wall_ms, 3),
         warm_pool
             .workers
             .iter()
@@ -743,8 +670,8 @@ fn main() {
                 format!(
                     "{{\"tasks\": {}, \"busy_ms\": {}, \"idle_ms\": {}}}",
                     ws.tasks,
-                    json_f64((ws.busy_ms * 1000.0).round() / 1000.0),
-                    json_f64((warm_pool.idle_ms(w) * 1000.0).round() / 1000.0),
+                    json_round(ws.busy_ms, 3),
+                    json_round(warm_pool.idle_ms(w), 3),
                 )
             })
             .collect::<Vec<_>>()
@@ -754,13 +681,13 @@ fn main() {
         .iter()
         .zip(&warm_iters)
         .zip(&anderson_iters)
-        .map(|((c, w), a)| {
+        .map(|(((label, c), (_, w)), (_, a))| {
             format!(
                 "    {{\"point\": \"{}\", \"iterations_cold\": {}, \
                  \"iterations_warm\": {}, \"warm_started\": {}, \
                  \"iterations_accel\": {}, \"accel_accepted\": {}, \
                  \"accel_rejected\": {}}}",
-                c.label,
+                label,
                 c.iterations,
                 w.iterations,
                 w.warm_started,
@@ -778,14 +705,14 @@ fn main() {
         opts.threads,
         walls
             .iter()
-            .map(|(n, ms)| format!("\"{n}\": {}", json_f64((ms * 1000.0).round() / 1000.0)))
+            .map(|(n, ms)| format!("\"{n}\": {}", json_round(*ms, 3)))
             .collect::<Vec<_>>()
             .join(", "),
-        json_f64((speedup_par * 1000.0).round() / 1000.0),
-        json_f64((speedup_warm * 1000.0).round() / 1000.0),
-        json_f64(
-            ((1.0 - total(&anderson_iters) as f64 / total(&cold_iters) as f64) * 1000.0).round()
-                / 1000.0
+        json_round(speedup_par, 3),
+        json_round(speedup_warm, 3),
+        json_round(
+            1.0 - total(&anderson_iters) as f64 / total(&cold_iters) as f64,
+            3
         ),
         pool_json,
         matrix.join(",\n"),
@@ -797,11 +724,7 @@ fn main() {
 
     // Simulator section: replication determinism first, then events/sec
     // against the recorded pre-fast-path baseline.
-    let par = SweepOptions {
-        threads: opts.threads,
-        warm: false,
-        partition_seed: opts.partition_seed,
-    };
+    let par = mk(opts.threads, false);
     assert_eq!(
         sim_json(&par, SIM_REPS, 1),
         sim_json(&SweepOptions::sequential(), SIM_REPS, 1),

@@ -1,12 +1,16 @@
 //! # carat-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§6):
-//! each `exp_*` binary sweeps the transaction size n ∈ {4, 8, 12, 16, 20}
-//! for one workload, runs the **analytical model** (`carat-model`) and the
-//! **testbed simulator** (`carat-sim`, the stand-in for the VAX testbed
-//! "measurement") with identical Table 2 parameters, and prints the paper's
-//! rows (TR-XPUT, Total-CPU, Total-DIO, record throughput, per-type
-//! throughput) side by side.
+//! Regenerates every table and figure of the paper's evaluation (§6). The
+//! `exp` binary runs one experiment per invocation
+//! (`cargo run --release -p carat-bench --bin exp -- <experiment> [flags]`;
+//! run it with no arguments for the list). Each paper sweep covers the
+//! transaction sizes n ∈ {4, 8, 12, 16, 20} for one workload, runs the
+//! **analytical model** (`carat-model`) and the **testbed simulator**
+//! (`carat-sim`, the stand-in for the VAX testbed "measurement") with
+//! identical Table 2 parameters, and prints the paper's rows (TR-XPUT,
+//! Total-CPU, Total-DIO, record throughput, per-type throughput) side by
+//! side. The same binary holds the extension experiments and the
+//! sweep-engine benchmark (`exp bench`).
 //!
 //! The `benches/` directory holds the matching criterion benchmarks (one
 //! group per paper artifact, plus component microbenchmarks).
@@ -14,7 +18,7 @@
 pub mod replicate;
 pub mod sweep;
 
-use carat::model::{Model, ModelConfig, ModelOptions, ModelReport};
+use carat::model::{ModelConfig, ModelOptions};
 use carat::sim::{Sim, SimConfig, SimReport};
 use carat::workload::{StandardWorkload, TxType};
 
@@ -31,6 +35,21 @@ pub const N_SWEEP: [u32; 5] = [4, 8, 12, 16, 20];
 
 /// Seeds used for the simulated "measurements" (averaged).
 pub const SEEDS: [u64; 3] = [7, 1987, 424242];
+
+/// One warm-startable model chain: `wl` on two sites over ascending
+/// [`N_SWEEP`], every point solved with `opts`. One chain per
+/// [`StandardWorkload::ALL`] entry is the reference grid that
+/// `exp bench --emit` prints and the pinned fixtures hold.
+pub fn model_chain(wl: StandardWorkload, opts: &ModelOptions) -> Vec<ModelPoint> {
+    N_SWEEP
+        .iter()
+        .map(|&n| ModelPoint {
+            label: format!("{wl}/n{n}"),
+            cfg: ModelConfig::new(wl.spec(2), n),
+            opts: opts.clone(),
+        })
+        .collect()
+}
 
 /// One node's headline metrics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -89,74 +108,22 @@ pub fn run_sim(wl: StandardWorkload, n: u32, seed: u64, measure_ms: f64) -> SimR
     Sim::new(cfg).expect("valid config").run()
 }
 
-/// Runs the analytical model once.
-pub fn run_model(wl: StandardWorkload, n: u32) -> ModelReport {
-    Model::new(ModelConfig::new(wl.spec(2), n)).solve()
-}
-
-/// Runs the model with explicit options (ablations).
-pub fn run_model_with(wl: StandardWorkload, n: u32, opts: ModelOptions) -> ModelReport {
-    Model::with_options(ModelConfig::new(wl.spec(2), n), opts).solve()
-}
-
-/// Full sweep of one workload, sequentially (the engine-backed
-/// [`sweep_with`] with one worker and no warm starting — the historical
-/// behaviour of this function).
-pub fn sweep(wl: StandardWorkload, measure_ms: f64) -> Vec<Row> {
-    let opts = SweepOptions {
-        warm: false,
-        ..SweepOptions::sequential()
-    };
-    sweep_with(wl, measure_ms, &opts)
-}
-
-/// Full sweep of one workload on the sweep engine: one warm-start model
-/// chain over [`N_SWEEP`] plus one simulator run per (n, seed), all
-/// scheduled as independent tasks on `opts.threads` workers. Results are
+/// Full sweep of one workload: one warm-start model chain over
+/// [`N_SWEEP`] (cold when `opts.warm` is off), then one simulator run per
+/// (n, seed) as independent tasks on `opts.threads` workers. Results are
 /// byte-identical for every thread count and partition seed.
 pub fn sweep_with(wl: StandardWorkload, measure_ms: f64, opts: &SweepOptions) -> Vec<Row> {
-    enum Task {
-        Models(Vec<ModelPoint>),
-        Sim { n: u32, seed: u64 },
-    }
-    enum Out {
-        Models(Vec<ModelReport>),
-        Sim { n: u32, report: Box<SimReport> },
-    }
-
-    let points: Vec<ModelPoint> = N_SWEEP
+    let models = solve_chain(&model_chain(wl, &ModelOptions::default()), opts.warm);
+    let grid: Vec<(u32, u64)> = N_SWEEP
         .iter()
-        .map(|&n| ModelPoint::new(format!("{wl}/n{n}"), ModelConfig::new(wl.spec(2), n)))
+        .flat_map(|&n| SEEDS.iter().map(move |&seed| (n, seed)))
         .collect();
-    let mut tasks = vec![Task::Models(points)];
-    for &n in &N_SWEEP {
-        for &seed in &SEEDS {
-            tasks.push(Task::Sim { n, seed });
-        }
-    }
-
-    let warm = opts.warm;
-    let outs = run_tasks(tasks, opts, |_, task| match task {
-        Task::Models(pts) => Out::Models(solve_chain(&pts, warm)),
-        Task::Sim { n, seed } => Out::Sim {
-            n,
-            report: Box::new(run_sim(wl, n, seed, measure_ms)),
-        },
-    });
-
-    let mut models: Vec<ModelReport> = Vec::new();
-    let mut sims_by_n: std::collections::BTreeMap<u32, Vec<SimReport>> = Default::default();
-    for out in outs {
-        match out {
-            Out::Models(reports) => models = reports,
-            Out::Sim { n, report } => sims_by_n.entry(n).or_default().push(*report),
-        }
-    }
+    let reports = run_tasks(grid, opts, |_, (n, seed)| run_sim(wl, n, seed, measure_ms));
 
     let mut rows = Vec::new();
     for (i, &n) in N_SWEEP.iter().enumerate() {
         let model = &models[i];
-        let sims = &sims_by_n[&n];
+        let sims = &reports[i * SEEDS.len()..(i + 1) * SEEDS.len()];
         for node in 0..2 {
             let mut sim_m = Metrics::default();
             let mut sim_types: std::collections::BTreeMap<TxType, f64> = Default::default();
@@ -261,8 +228,9 @@ pub fn print_per_type(title: &str, rows: &[Row]) {
     }
 }
 
-/// Shape checks shared by the integration tests and `exp_all`: the headline
-/// qualitative findings of the paper that any reproduction must show.
+/// Shape checks shared by the integration tests and the `exp` paper
+/// sweeps: the headline qualitative findings of the paper that any
+/// reproduction must show.
 pub fn shape_violations(rows: &[Row]) -> Vec<String> {
     let mut problems = Vec::new();
     let at = |n: u32, node: usize| rows.iter().find(|r| r.n == n && r.node == node);
@@ -312,6 +280,7 @@ pub fn shape_violations(rows: &[Row]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carat::model::Model;
 
     #[test]
     fn quick_sweep_row_structure() {
@@ -322,7 +291,7 @@ mod tests {
         cfg.measure_ms = 30_000.0;
         let rep = Sim::new(cfg).expect("valid config").run();
         assert_eq!(rep.nodes.len(), 2);
-        let model = run_model(StandardWorkload::Mb4, 4);
+        let model = Model::new(ModelConfig::new(StandardWorkload::Mb4.spec(2), 4)).solve();
         assert_eq!(model.nodes.len(), 2);
         assert!(model.convergence.converged);
     }

@@ -1,11 +1,12 @@
 //! Deterministic parallel sweep engine.
 //!
-//! Every experiment binary evaluates a *grid* of configurations — model
-//! solves and simulator runs that are independent of one another except
-//! where warm starting deliberately chains them. This module runs such a
-//! grid across a fixed pool of worker threads while guaranteeing that the
-//! produced results (and therefore any output rendered from them) are
-//! **byte-identical to a sequential run**, for every thread count:
+//! Every experiment of the `exp` binary evaluates a *grid* of
+//! configurations — model solves and simulator runs that are independent
+//! of one another except where warm starting deliberately chains them.
+//! This module runs such a grid across a fixed pool of worker threads
+//! while guaranteeing that the produced results (and therefore any output
+//! rendered from them) are **byte-identical to a sequential run**, for
+//! every thread count:
 //!
 //! * scheduling is *dynamically load-balanced* — workers draw the next
 //!   task from an atomic ticket counter over a fixed task order, so a
@@ -69,46 +70,6 @@ impl SweepOptions {
         SweepOptions {
             threads: 1,
             ..SweepOptions::default()
-        }
-    }
-
-    /// Builds options from the process environment: `CARAT_THREADS` /
-    /// `CARAT_SEQUENTIAL` variables first, then command-line flags
-    /// (`--threads N`, `--sequential`, `--warm-start`, `--no-warm`), which
-    /// take precedence. Unknown arguments are ignored so experiment
-    /// binaries keep accepting their own flags.
-    pub fn from_env_args() -> Self {
-        let mut opts = SweepOptions::default();
-        if let Ok(v) = std::env::var("CARAT_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                opts.threads = n.max(1);
-            }
-        }
-        if std::env::var("CARAT_SEQUENTIAL").is_ok_and(|v| v != "0" && !v.is_empty()) {
-            opts.threads = 1;
-        }
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        opts.apply_args(&args);
-        opts
-    }
-
-    /// Applies the sweep-related flags found in `args` (ignoring the rest).
-    pub fn apply_args(&mut self, args: &[String]) {
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--threads" => {
-                    if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                        self.threads = n.max(1);
-                        i += 1;
-                    }
-                }
-                "--sequential" => self.threads = 1,
-                "--warm-start" => self.warm = true,
-                "--no-warm" => self.warm = false,
-                _ => {}
-            }
-            i += 1;
         }
     }
 }
@@ -460,22 +421,5 @@ mod tests {
             iters(&warm),
             iters(&cold)
         );
-    }
-
-    #[test]
-    fn flag_parsing_overrides_env_defaults() {
-        let mut o = SweepOptions::default();
-        o.apply_args(&[
-            "--out".into(),
-            "x.json".into(),
-            "--threads".into(),
-            "6".into(),
-            "--no-warm".into(),
-        ]);
-        assert_eq!(o.threads, 6);
-        assert!(!o.warm);
-        o.apply_args(&["--sequential".into(), "--warm-start".into()]);
-        assert_eq!(o.threads, 1);
-        assert!(o.warm);
     }
 }

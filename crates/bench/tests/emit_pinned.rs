@@ -2,38 +2,15 @@
 //! MVA) must keep producing **byte-identical** canonical JSON to the
 //! fixtures captured before the accelerated solver landed.
 
-use carat::model::{ModelConfig, ModelOptions};
+use carat::model::ModelOptions;
 use carat::workload::StandardWorkload;
-use carat_bench::{chain_to_json, solve_chain, ModelPoint, N_SWEEP};
-
-const WORKLOADS: [StandardWorkload; 4] = [
-    StandardWorkload::Lb8,
-    StandardWorkload::Mb4,
-    StandardWorkload::Mb8,
-    StandardWorkload::Ub6,
-];
-
-fn grid(mopts: &ModelOptions) -> Vec<Vec<ModelPoint>> {
-    WORKLOADS
-        .iter()
-        .map(|&wl| {
-            N_SWEEP
-                .iter()
-                .map(|&n| {
-                    let mut p =
-                        ModelPoint::new(format!("{wl}/n{n}"), ModelConfig::new(wl.spec(2), n));
-                    p.opts = mopts.clone();
-                    p
-                })
-                .collect()
-        })
-        .collect()
-}
+use carat_bench::{chain_to_json, model_chain, solve_chain};
 
 fn render(mopts: &ModelOptions, warm: bool) -> String {
     let mut points = Vec::new();
     let mut reports = Vec::new();
-    for pts in grid(mopts) {
+    for wl in StandardWorkload::ALL {
+        let pts = model_chain(wl, mopts);
         let reps = if warm {
             solve_chain(&pts, true)
         } else {

@@ -502,11 +502,36 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Err("--metrics records a single deterministic run; drop --reps".into());
     }
     match cmd.as_str() {
-        "model" => Ok(Command::Model(spec)),
+        "model" => model_sizes(&spec).map(|()| Command::Model(spec)),
         "sim" => Ok(Command::Sim(spec)),
-        "compare" => Ok(Command::Compare(spec)),
+        "compare" => model_sizes(&spec).map(|()| Command::Compare(spec)),
         other => Err(format!("unknown command {other} (model|sim|compare|help)")),
     }
+}
+
+/// The model spreads a distributed transaction's `r = n − ⌈n/sites⌉`
+/// remote requests evenly over its `sites − 1` slaves, and a slave chain
+/// needs at least one whole request. With a DRO/DU user that fails
+/// exactly when `1 < n < sites`; the simulator runs those sizes, the
+/// model rejects them.
+fn model_sizes(spec: &RunSpec) -> Result<(), String> {
+    let distributed = spec
+        .workload
+        .spec(1)
+        .users
+        .iter()
+        .flatten()
+        .any(|(ty, _)| ty.is_distributed());
+    for &n in &spec.n_values {
+        if distributed && n > 1 && (n as usize) < spec.sites {
+            return Err(format!(
+                "the model needs n = 1 or n ≥ sites for {}: --n {n} with {} sites gives \
+                 each slave site less than one request (sim accepts it)",
+                spec.workload, spec.sites
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -737,6 +762,38 @@ mod tests {
             format!("{:?}", RunSpec::default().params()),
             format!("{:?}", SystemParams::default())
         );
+    }
+
+    #[test]
+    fn model_rejects_sizes_that_leave_a_slave_less_than_one_request() {
+        for cmd in ["model", "compare"] {
+            for flags in [
+                "--workload mb4 --sites 3 --n 2",
+                "--sites 4 --n 3",
+                "--sites 4 --n 4,2",
+            ] {
+                let err = parse(&argv(&format!("{cmd} {flags}"))).unwrap_err();
+                assert!(err.contains("n = 1 or n ≥ sites"), "{cmd} {flags}: {err}");
+            }
+            let err = parse(&argv(&format!("{cmd} --sites 3 --n 2"))).unwrap_err();
+            assert!(err.contains("--n 2 with 3 sites"), "{err}");
+            // n = 1 has no remote requests and n >= sites gives every
+            // slave at least one; local-only LB8 has no slaves at all.
+            for flags in [
+                "--sites 4 --n 1",
+                "--sites 4 --n 4",
+                "--sites 4 --n 4..20",
+                "--workload lb8 --sites 4 --n 2",
+                "--workload lb8 --sites 8 --n 1..8",
+            ] {
+                assert!(
+                    parse(&argv(&format!("{cmd} {flags}"))).is_ok(),
+                    "{cmd} {flags}"
+                );
+            }
+        }
+        // The simulator runs fractional slave participation.
+        assert!(parse(&argv("sim --workload mb4 --sites 3 --n 2")).is_ok());
     }
 
     #[test]

@@ -198,7 +198,7 @@ impl AvailabilityModelReport {
 /// apply the *workload-averaged* amplification
 /// `n' = n · (1 + (k−1) · f_u)` where `f_u` is the update-user fraction —
 /// exact when update demand dominates the bottleneck, an approximation
-/// otherwise (the gate in `exp_partition` carries the measured error).
+/// otherwise (the gate in `exp partition` carries the measured error).
 pub fn replicated_n_requests(n: u32, spec: &WorkloadSpec, replication: usize) -> u32 {
     if replication <= 1 {
         return n;

@@ -6,7 +6,7 @@
 //! byte-identical for every `--shards` value, including `--shards 1`.
 //! Scheduling telemetry therefore lives *outside* the report, in this
 //! process-global registry of relaxed atomics. The driver bumps them from
-//! worker threads; tools (`carat-cli`, `exp_bench`) snapshot them after a
+//! worker threads; tools (`carat-cli`, `exp bench`) snapshot them after a
 //! run to surface busy/stall ratios, null-message (demand-driven clock
 //! publication) counts, cross-shard message volume, and silent
 //! monolithic fallbacks.

@@ -224,7 +224,7 @@ impl Plan {
 
 /// The transaction-phase segment an op belongs to, mirroring the paper's
 /// phase set so the simulator can report a measured per-phase time
-/// decomposition comparable with the model's (`exp_phases`).
+/// decomposition comparable with the model's (`exp phases`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Seg {
     /// INIT: TBEGIN/DBOPEN processing.

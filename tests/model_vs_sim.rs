@@ -3,7 +3,7 @@
 //! *shape* exactly (who wins, where throughput peaks, how deadlocks grow).
 //!
 //! These mirror the paper's §6 validation; the full sweeps live in the
-//! `exp_*` binaries of `carat-bench`, which use longer measurement windows.
+//! `exp` binary of `carat-bench`, which uses longer measurement windows.
 
 use carat::prelude::*;
 
