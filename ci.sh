@@ -66,11 +66,24 @@ cargo run --release -p carat-cli -- sim --workload lb8 --n 8 --measure-s 60 --tr
 cmp "${TMPDIR:-/tmp}/trace_a.json" "${TMPDIR:-/tmp}/trace_b.json"
 echo "== metrics neutrality gate"
 # The metrics recorder must not change a single stdout report byte, and
-# the sampled series must be byte-identical for every shard count on the
-# coupled cross-site engine (DESIGN.md §15).
+# every export of the series must be byte-identical for every shard count
+# on both sharded paths, the coupled cross-site engine and the separable
+# one (DESIGN.md §15).
 cargo run --release -p carat-cli -- sim --workload lb8 --n 8 --measure-s 60 --metrics 10 > "${TMPDIR:-/tmp}/report_metrics_on.txt" 2> /dev/null
 cmp "${TMPDIR:-/tmp}/report_off.txt" "${TMPDIR:-/tmp}/report_metrics_on.txt"
-cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 1 --metrics 10 --metrics-out "${TMPDIR:-/tmp}/metrics_s1.jsonl" > /dev/null 2>&1
-cargo run --release -p carat-cli -- sim --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60 --shards 4 --metrics 10 --metrics-out "${TMPDIR:-/tmp}/metrics_s4.jsonl" > /dev/null 2>&1
-cmp "${TMPDIR:-/tmp}/metrics_s1.jsonl" "${TMPDIR:-/tmp}/metrics_s4.jsonl"
+# $1 names the scratch files, $2 is the export extension; the remaining
+# arguments are the `carat-cli sim` flags.
+metrics_gate() {
+  name=$1
+  ext=$2
+  shift 2
+  for k in 1 4; do
+    cargo run --release -p carat-cli -- sim "$@" --shards "$k" --metrics 10 --metrics-out "${TMPDIR:-/tmp}/${name}_s$k.$ext" > /dev/null 2>&1
+  done
+  cmp "${TMPDIR:-/tmp}/${name}_s1.$ext" "${TMPDIR:-/tmp}/${name}_s4.$ext"
+}
+for ext in jsonl csv json; do
+  metrics_gate metrics "$ext" --workload mb4 --sites 8 --n 8 --alpha 5 --probes --measure-s 60
+done
+metrics_gate metrics_lb8 jsonl --workload lb8 --sites 8 --n 8 --measure-s 60
 echo "== CI green"

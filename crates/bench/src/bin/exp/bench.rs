@@ -281,13 +281,14 @@ const METRICS_SAMPLE_MS: f64 = 10.0;
 /// JSON section for `BENCH_sim.json`. Also the on-path neutrality gate:
 /// each report must be byte-identical whether or not the recorder ran.
 ///
-/// The wall overhead is dominated by sample *volume*, not by the
-/// per-event hook: the reference workloads run a couple of hundred
-/// events per sim-second, while the 10 ms cadence emits a few thousand
-/// sample points per sim-second. The per-sample cost (`ns_per_sample`)
-/// is the figure that transfers to other cadences and workloads; the
-/// disabled path is one `Option` branch per event and is covered by the
-/// byte-identity gates against the metrics-free baseline.
+/// The recorder stores each gauge when it changes and expands to the
+/// sample boundaries only at export, which this timing never reaches, so
+/// the wall overhead follows the state changes per event, not the sample
+/// volume: `samples` is `MetricsRecorder::len`, the count the exports
+/// would write, and `ns_per_sample` divides the overhead by it only for
+/// comparison with earlier files. The disabled path is one `Option`
+/// branch per hook and is covered by the byte-identity gates against the
+/// metrics-free baseline.
 fn bench_metrics_overhead() -> String {
     let mk = |metrics: bool| {
         let (_, mut cfgs) = sim_points(1);
@@ -318,7 +319,7 @@ fn bench_metrics_overhead() -> String {
                     &report, reference,
                     "the metrics recorder (on={metrics}) changed the report"
                 );
-                rep_samples += recorder.map_or(0, |r| r.samples().len());
+                rep_samples += recorder.map_or(0, |r| r.len());
             }
             best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1000.0);
             samples = rep_samples;

@@ -271,10 +271,7 @@ fn write_metrics(path: &str, metrics: &MetricsRecorder) {
         eprintln!("error: cannot write metrics {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!(
-        "metrics: {} samples written to {path}",
-        metrics.samples().len()
-    );
+    eprintln!("metrics: {} samples written to {path}", metrics.len());
 }
 
 /// The end-of-run metrics monitor, on stderr so stdout stays
@@ -286,7 +283,7 @@ fn print_metrics_summary(spec: &RunSpec, metrics: &MetricsRecorder, shard: &Shar
     let cadence = spec.metrics_ms.unwrap_or_default();
     eprintln!(
         "metrics: {} samples at {cadence} ms sim-time cadence",
-        metrics.samples().len()
+        metrics.len()
     );
     for s in metrics.summarize(40) {
         eprintln!(

@@ -118,6 +118,14 @@ impl<J> Fcfs<J> {
         self.util.mean(now)
     }
 
+    /// The time-weighted busy signal behind [`utilization`](Self::utilization):
+    /// `util_state().mean(now)` is `utilization(now)` for as long as the
+    /// server does not change state, which lets a recorder keep the state
+    /// and evaluate it later.
+    pub fn util_state(&self) -> TimeWeighted {
+        self.util
+    }
+
     /// Time-average number of jobs at the center (queue + service).
     pub fn mean_population(&self, now: Time) -> f64 {
         self.qlen.mean(now)

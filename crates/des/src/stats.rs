@@ -16,7 +16,7 @@ use crate::Time;
 /// q.set(30.0, 1.0); // 2 customers during [10, 30), then 1
 /// assert!((q.mean(40.0) - (0.0*10.0 + 2.0*20.0 + 1.0*10.0) / 40.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWeighted {
     start: Time,
     last_t: Time,
@@ -63,6 +63,16 @@ impl TimeWeighted {
             return 0.0;
         }
         (self.area + self.value * (now - self.last_t)) / span
+    }
+
+    /// The accumulator's state `(start, last_t, value, area)`. [`mean`]
+    /// is `(area + value · (now − last_t)) / (now − start)` (0 for an empty
+    /// window), so a copy of these four numbers evaluates any later `now`
+    /// exactly as `mean` would until the next `set`.
+    ///
+    /// [`mean`]: Self::mean
+    pub fn state(&self) -> (Time, Time, f64, f64) {
+        (self.start, self.last_t, self.value, self.area)
     }
 
     /// Restarts the observation window at `now`, keeping the current value.

@@ -95,6 +95,8 @@ pub struct LockManager {
     /// Retired held-blocks vectors, recycled so the steady state allocates
     /// nothing per transaction.
     spare_held: Vec<Vec<u32>>,
+    /// Total length of the `held` lists: granted entries in the table.
+    granted: usize,
     requests: u64,
     conflicts: u64,
 }
@@ -155,6 +157,7 @@ impl LockManager {
         };
         if entry.queue.is_empty() && entry.compatible_with_holders(&w) {
             entry.granted.push((owner, mode));
+            self.granted += 1;
             self.held
                 .entry(owner)
                 .or_insert_with(|| self.spare_held.pop().unwrap_or_default())
@@ -232,9 +235,9 @@ impl LockManager {
     }
 
     /// Granted entries across the whole table — the lock-table depth
-    /// gauge. O(holders): sums the per-owner held-block lists.
+    /// gauge. O(1): a running count kept at every grant and release.
     pub fn granted_entries(&self) -> usize {
-        self.held.values().map(Vec::len).sum()
+        self.granted
     }
 
     /// Transactions currently waiting on some block — the node count this
@@ -287,6 +290,7 @@ impl LockManager {
         self.cancel_request_into(owner, woken);
 
         if let Some(mut blocks) = self.held.remove(&owner) {
+            self.granted -= blocks.len();
             for block in blocks.drain(..) {
                 let entry = self.table.get_mut(&block).expect("held lock has entry");
                 entry.granted.retain(|&(o, _)| o != owner);
@@ -321,6 +325,7 @@ impl LockManager {
                 }
             } else {
                 entry.granted.push((head.owner, head.mode));
+                self.granted += 1;
                 self.held
                     .entry(head.owner)
                     .or_insert_with(|| self.spare_held.pop().unwrap_or_default())

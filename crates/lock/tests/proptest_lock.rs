@@ -18,6 +18,9 @@ enum Op {
     Release {
         tx: u64,
     },
+    Cancel {
+        tx: u64,
+    },
 }
 
 fn op_strategy(n_tx: u64, n_blocks: u32) -> impl Strategy<Value = Op> {
@@ -55,6 +58,7 @@ proptest! {
                     }
                     blocked.remove(&tx);
                 }
+                Op::Cancel { .. } => continue,
             }
             lm.check_invariants();
             // Blocked set must agree with the manager's view.
@@ -73,6 +77,43 @@ proptest! {
         prop_assert!(lm.blocked_transactions().is_empty());
         for tx in 0..6 {
             prop_assert_eq!(lm.held_count(tx), 0);
+        }
+    }
+
+    /// The running lock-table depth equals a recount of the table's
+    /// grants after every request, release and cancel.
+    #[test]
+    fn granted_entries_match_a_recount(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                3 => op_strategy(6, 4),
+                1 => (0u64..6).prop_map(|tx| Op::Cancel { tx }),
+            ],
+            1..120,
+        )
+    ) {
+        let mut lm = LockManager::new();
+        for op in ops {
+            match op {
+                Op::Request { tx, block, exclusive } => {
+                    if lm.waiting_block(tx).is_some() {
+                        continue;
+                    }
+                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+                    lm.request(tx, block, mode);
+                }
+                Op::Release { tx } => {
+                    lm.release_all(tx);
+                }
+                Op::Cancel { tx } => {
+                    lm.cancel_request(tx);
+                }
+            }
+            let recount = (0..6u64)
+                .flat_map(|tx| (0..4u32).map(move |block| (tx, block)))
+                .filter(|&(tx, block)| lm.holds(tx, block).is_some())
+                .count();
+            prop_assert_eq!(lm.granted_entries(), recount);
         }
     }
 

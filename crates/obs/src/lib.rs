@@ -14,11 +14,12 @@
 //!   (loadable in Perfetto / `chrome://tracing`, with per-node tracks and
 //!   per-transaction async spans) or as JSONL.
 //! * [`metrics`]: a deterministic sim-time metrics recorder. The engine
-//!   samples gauges (station populations, utilization-to-date, lock-table
+//!   reports gauges (station populations, utilization-to-date, lock-table
 //!   depth, blocked/active transaction counts, 2PC in-flight, journal
-//!   bytes, cross-LP message totals) on a fixed virtual-time cadence;
-//!   samples export as JSONL/CSV timeseries or as Chrome trace-event
-//!   counter tracks on the same Perfetto timeline as the lifecycle trace.
+//!   bytes, cross-LP message totals) when they change, at event time; the
+//!   exports expand the change points to a fixed virtual-time cadence as
+//!   JSONL/CSV timeseries or as Chrome trace-event counter tracks on the
+//!   same Perfetto timeline as the lifecycle trace.
 //! * [`iterlog`]: a solver iteration log recording the residual and the
 //!   per-chain contention state (`Pb`, `Pd`, `L_h`, `R_LW`, `R_RW`,
 //!   `R_CW`) of every fixed-point iteration, exported as CSV or JSON, so
@@ -52,7 +53,7 @@ pub use counters::CounterRegistry;
 pub use iterlog::{IterLog, IterRow};
 pub use metrics::{
     sparkline, MetricKind, MetricSample, MetricSummary, MetricsConfig, MetricsFilter,
-    MetricsRecorder,
+    MetricsRecorder, UtilState,
 };
 pub use shardstats::ShardStatsSnapshot;
 pub use trace::{TraceConfig, TraceEvent, TraceFilter, TraceKind, Tracer};
@@ -62,10 +63,20 @@ pub use trace::{TraceConfig, TraceEvent, TraceFilter, TraceKind, Tracer};
 /// `carat_bench::json_f64`). Non-finite values render as `null` so the
 /// output stays valid JSON.
 pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+    JsonF64(v).to_string()
+}
+
+/// Displays an `f64` as [`fmt_f64`] renders it, for writing straight into
+/// an output buffer.
+pub(crate) struct JsonF64(pub(crate) f64);
+
+impl std::fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 

@@ -1,35 +1,52 @@
-//! Deterministic sim-time metrics: gauges sampled on a fixed virtual-time
-//! cadence, exported as JSONL/CSV timeseries and as Chrome trace-event
-//! *counter tracks* that land on the same Perfetto timeline as the
-//! lifecycle trace.
+//! Deterministic sim-time metrics: gauges recorded when they change and
+//! exported on a fixed virtual-time cadence as JSONL/CSV timeseries and as
+//! Chrome trace-event *counter tracks* that land on the same Perfetto
+//! timeline as the lifecycle trace.
 //!
-//! ## Sampling model
+//! ## Recording model
 //!
-//! The engine owns a [`MetricsRecorder`] and emits one batch of samples
-//! per *boundary* `b = k · sample_ms` (k ≥ 1). A sample at `b` captures
-//! the state after every event with timestamp ≤ `b` has been applied:
-//! the engine flushes boundaries strictly below the next event's
-//! timestamp before handling it, flushes the remainder up to the horizon
-//! at wind-down, and — when the event budget trips at `t` — stops after
-//! the last boundary strictly below `t` (events at `t` never ran, so a
-//! sample at `b ≥ t` would be a lie).
+//! A sample *boundary* is `b = k · sample_ms` (k ≥ 1), and the sample at
+//! `b` shows the state after every event with timestamp ≤ `b`. The engine
+//! does not visit boundaries. It reports each gauge when the gauge
+//! changes, at event time ([`MetricsRecorder::set`],
+//! [`MetricsRecorder::set_util`]), and the recorder keeps one list of
+//! change points per series. A change at `t` overwrites the series' last
+//! point when no boundary falls in `[t_prev, t)`, so a series holds at most
+//! min(changes, boundaries) points, and a run's recording cost follows its
+//! state changes, not its boundaries. Utilization-to-date gauges are linear
+//! in time between changes; their points hold the station's busy-signal
+//! state ([`UtilState`]), evaluated at each boundary by the exports.
+//!
+//! The last exported boundary is fixed once, when the run closes the
+//! recorder: the last `b ≤ end` at a normal end
+//! ([`MetricsRecorder::close_through`], before wind-down mutates anything),
+//! or the last `b < t` when the event budget trips at `t`
+//! ([`MetricsRecorder::close_before`]: events at `t` never ran). The
+//! exports expand the points to every boundary up to it; [`len`] counts
+//! the samples without expanding.
 //!
 //! ## Determinism contract
 //!
 //! Samples derive exclusively from simulation state and the virtual
 //! clock: no wall-clock quantities ever enter a recorder. The sharded
-//! engine records per site — one recorder per logical process, sampling
-//! only its owned site — and merges them with [`merge_ordered`], a stable
-//! time sort over a site-major concatenation and so a pure function of
-//! the configuration. Metrics output is therefore byte-identical for every
-//! shard/thread count, which the CI metrics gates enforce. Wall-clock
-//! shard diagnostics (busy/stall split, null messages) stay in
-//! [`crate::shardstats`] and are only folded into *terminal* summaries,
-//! never into these exports.
+//! engine records per site — one recorder per logical process, recording
+//! only its owned site, closed at that process's own end or trip — and
+//! merges them with [`merge_ordered`], which concatenates the series in
+//! site order; the exports then emit (time, site, declaration) order, a
+//! pure function of the configuration. Metrics output is therefore
+//! byte-identical for every shard/thread count, which the CI metrics gates
+//! enforce. Wall-clock shard diagnostics (busy/stall split, null messages)
+//! stay in [`crate::shardstats`] and are only folded into *terminal*
+//! summaries, never into these exports.
 //!
+//! [`len`]: MetricsRecorder::len
 //! [`merge_ordered`]: MetricsRecorder::merge_ordered
 
-/// One sampled quantity. The set is closed (an enum, not strings) so the
+use std::fmt::Write as _;
+
+use crate::JsonF64;
+
+/// One recorded quantity. The set is closed (an enum, not strings) so the
 /// filter can be a bitmask and exports stay allocation-free per sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
@@ -135,6 +152,16 @@ impl MetricKind {
             MetricKind::JournalBytes => "journal",
             MetricKind::XmsgIn | MetricKind::XmsgOut => "shard",
         }
+    }
+
+    /// Whether this is a utilization-to-date gauge: linear in time
+    /// between changes, so the recorder keeps its station's state and the
+    /// exports evaluate it at each boundary.
+    fn is_utilization(self) -> bool {
+        matches!(
+            self,
+            MetricKind::CpuUtil | MetricKind::DiskUtil | MetricKind::LogDiskUtil
+        )
     }
 
     /// Bit of this kind in a filter mask.
@@ -243,8 +270,9 @@ impl MetricsConfig {
     }
 }
 
-/// One sample: `value` of `kind` at site `site`, captured at virtual time
-/// `t_ms` (a boundary multiple of the cadence).
+/// One exported sample: `value` of `kind` at site `site` at virtual time
+/// `t_ms`, a boundary multiple of the cadence. The recorder stores change
+/// points; exports expand them into one sample per (boundary, series).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSample {
     /// Virtual time of the boundary (ms since simulation start).
@@ -257,27 +285,253 @@ pub struct MetricSample {
     pub value: f64,
 }
 
-/// The append-only sample log the engine records into, plus the boundary
-/// cursor that drives the sampling cadence.
+/// A utilization gauge's state between two changes of its station's busy
+/// signal: the four fields of the station's time-weighted accumulator
+/// (`carat_des::TimeWeighted::state`). [`UtilState::mean`] repeats that
+/// accumulator's `mean` operation for operation, so a boundary evaluated
+/// from a recorded state has the bits `Fcfs::utilization` returns there.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct UtilState {
+    /// Start of the observation window.
+    pub start: f64,
+    /// Time of the last change of the signal.
+    pub last_t: f64,
+    /// The signal since `last_t` (1 busy, 0 idle).
+    pub value: f64,
+    /// Integral of the signal over `[start, last_t]`.
+    pub area: f64,
+}
+
+impl UtilState {
+    /// Time-average of the signal over `[start, now]`; 0 for an empty
+    /// window.
+    pub fn mean(&self, now: f64) -> f64 {
+        let span = now - self.start;
+        if span <= 0.0 {
+            return 0.0;
+        }
+        (self.area + self.value * (now - self.last_t)) / span
+    }
+}
+
+/// Index of the first boundary `k · sample_ms` (k ≥ 1) at or after `t`:
+/// the first sample that shows a change made at `t`. The division guesses,
+/// the loops settle it with the same `k as f64 * sample_ms` product the
+/// exports print, so rounding can never put a change on the wrong side.
+fn first_boundary_from(t: f64, sample_ms: f64) -> u64 {
+    let mut k = ((t / sample_ms).ceil() as u64).max(1);
+    while k > 1 && (k - 1) as f64 * sample_ms >= t {
+        k -= 1;
+    }
+    while (k as f64) * sample_ms < t {
+        k = k
+            .checked_add(1)
+            .expect("sample boundary index overflows u64");
+    }
+    k
+}
+
+/// Index of the last boundary at or before `end` (0 when none fits).
+fn last_boundary_through(end: f64, sample_ms: f64) -> u64 {
+    let mut k = (end / sample_ms).floor().max(0.0) as u64;
+    while k > 0 && k as f64 * sample_ms > end {
+        k -= 1;
+    }
+    while (k + 1) as f64 * sample_ms <= end {
+        k += 1;
+    }
+    k
+}
+
+/// A series' change points: `(k, v)` means the gauge reads `v` at every
+/// boundary from `k · sample_ms` until the next point's. The newest point
+/// lives inline with `hi`, the time of its boundary: the engine's frequent
+/// changes before that boundary just overwrite it, and only the first
+/// change after it touches the list.
+#[derive(Debug, Clone)]
+struct Track<V> {
+    /// The newest point; `k == 0` until the first change.
+    cur: (u64, V),
+    /// `cur.0 · sample_ms`; −∞ until the first change.
+    hi: f64,
+    /// The earlier points, oldest first, consecutive values distinct.
+    done: Vec<(u64, V)>,
+}
+
+impl<V: Copy + PartialEq + Default> Track<V> {
+    fn new() -> Self {
+        Track {
+            cur: (0, V::default()),
+            hi: f64::NEG_INFINITY,
+            done: Vec::new(),
+        }
+    }
+
+    /// Records that the gauge reads `v` from `t` on; `epoch()` gives the
+    /// first boundary at or after `t` and its time. Before the newest
+    /// point's boundary the point was never exported, so `v` overwrites
+    /// it. Past it, an unchanged value records nothing; a changed one makes
+    /// the newest point final — it joins the list unless it repeats the
+    /// value before it — and starts a new one. So a track holds at most
+    /// one point per boundary, and a redundant call changes nothing that
+    /// is exported.
+    #[inline]
+    fn change(&mut self, t: f64, v: V, epoch: impl FnOnce() -> (u64, f64)) {
+        if t <= self.hi {
+            self.cur.1 = v;
+            return;
+        }
+        if v == self.cur.1 && self.cur.0 != 0 {
+            return;
+        }
+        if self.cur.0 != 0 && self.done.last().is_none_or(|&(_, prev)| prev != self.cur.1) {
+            self.done.push(self.cur);
+        }
+        let (k, hi) = epoch();
+        self.cur = (k, v);
+        self.hi = hi;
+    }
+
+    fn len(&self) -> usize {
+        self.done.len() + usize::from(self.cur.0 != 0)
+    }
+
+    fn get(&self, i: usize) -> (u64, V) {
+        self.done.get(i).copied().unwrap_or(self.cur)
+    }
+}
+
+/// A series' points, by gauge type.
+#[derive(Debug, Clone)]
+enum Points {
+    /// A step gauge: the value itself.
+    Level(Track<f64>),
+    /// A utilization gauge: the state to evaluate at each boundary.
+    Util(Track<UtilState>),
+}
+
+impl Points {
+    fn len(&self) -> usize {
+        match self {
+            Points::Level(p) => p.len(),
+            Points::Util(p) => p.len(),
+        }
+    }
+
+    /// First boundary of point `i`.
+    fn k(&self, i: usize) -> u64 {
+        match self {
+            Points::Level(p) => p.get(i).0,
+            Points::Util(p) => p.get(i).0,
+        }
+    }
+
+    /// Point `i`'s reading at boundary time `b`.
+    fn value(&self, i: usize, b: f64) -> f64 {
+        match self {
+            Points::Level(p) => p.get(i).1,
+            Points::Util(p) => p.get(i).1.mean(b),
+        }
+    }
+}
+
+/// One recorded gauge: a (site, kind) pair and its change points.
+#[derive(Debug, Clone)]
+struct Series {
+    site: u32,
+    kind: MetricKind,
+    /// Last boundary index the series exports; 0 until the recorder is
+    /// closed.
+    last: u64,
+    points: Points,
+}
+
+/// The first boundary at or after the latest change, and its time: time
+/// moves forward, mostly by less than a cadence between two boundary
+/// crossings, so the next one is tried before dividing.
+#[derive(Debug, Clone, Copy)]
+struct Epoch {
+    k: u64,
+    hi: f64,
+}
+
+impl Epoch {
+    /// Before any change: the first call finds boundary 1.
+    const START: Epoch = Epoch {
+        k: 0,
+        hi: f64::NEG_INFINITY,
+    };
+
+    #[inline]
+    fn at(&mut self, t: f64, sample_ms: f64) -> (u64, f64) {
+        if t > self.hi {
+            let next = (self.k + 1) as f64 * sample_ms;
+            let k = if t <= next {
+                self.k + 1
+            } else {
+                first_boundary_from(t, sample_ms)
+            };
+            *self = Epoch {
+                k,
+                hi: k as f64 * sample_ms,
+            };
+        }
+        (self.k, self.hi)
+    }
+}
+
+/// Marks a (site, kind) pair the recorder keeps no series for.
+const NO_SERIES: u32 = u32::MAX;
+
+/// The change log the engine records into: one list of change points per
+/// series, expanded to the sample boundaries only by the exports.
 #[derive(Debug, Clone)]
 pub struct MetricsRecorder {
-    filter: MetricsFilter,
     sample_ms: f64,
-    samples: Vec<MetricSample>,
-    /// Index of the next boundary to emit (boundary time = `next_k *
-    /// sample_ms`; starts at 1 — the t=0 state is the trivial empty
-    /// system).
-    next_k: u64,
+    /// Series index of `(site, kind)` at `site · KINDS + kind`, or
+    /// [`NO_SERIES`]. Empty once merged: a merged recorder is closed.
+    slots: Vec<u32>,
+    /// In (site, declaration) order; in part order after a merge.
+    series: Vec<Series>,
+    epoch: Epoch,
 }
 
 impl MetricsRecorder {
-    /// An empty recorder for `cfg`.
-    pub fn new(cfg: &MetricsConfig) -> Self {
+    /// An open recorder for `cfg` with one series per site in `sites` and
+    /// per kind that both `cfg.filter` and `produced` accept, in (site,
+    /// declaration) order. The set is fixed here. Every series starts
+    /// empty: the engine seeds it with the state at t = 0 before the run.
+    pub fn new(
+        cfg: &MetricsConfig,
+        sites: std::ops::Range<u32>,
+        produced: impl Fn(MetricKind) -> bool,
+    ) -> Self {
+        let kinds = MetricKind::ALL.len();
+        let mut slots = vec![NO_SERIES; sites.end as usize * kinds];
+        let mut series = Vec::new();
+        for site in sites {
+            for kind in MetricKind::ALL {
+                if cfg.filter.accepts(kind) && produced(kind) {
+                    slots[site as usize * kinds + kind as usize] = series.len() as u32;
+                    let points = if kind.is_utilization() {
+                        Points::Util(Track::new())
+                    } else {
+                        Points::Level(Track::new())
+                    };
+                    series.push(Series {
+                        site,
+                        kind,
+                        last: 0,
+                        points,
+                    });
+                }
+            }
+        }
         MetricsRecorder {
-            filter: cfg.filter,
             sample_ms: cfg.sample_ms,
-            samples: Vec::new(),
-            next_k: 1,
+            slots,
+            series,
+            epoch: Epoch::START,
         }
     }
 
@@ -286,111 +540,182 @@ impl MetricsRecorder {
         self.sample_ms
     }
 
-    /// Virtual time of the next boundary still to be emitted.
+    /// Index of the series of `(site, kind)`, when the recorder keeps one.
     #[inline]
-    pub fn next_boundary(&self) -> f64 {
-        self.next_k as f64 * self.sample_ms
-    }
-
-    /// Marks the current boundary emitted and moves the cursor to the
-    /// next one. Called by the engine after recording a boundary's batch.
-    #[inline]
-    pub fn finish_boundary(&mut self) {
-        self.next_k += 1;
-    }
-
-    /// Whether the engine should bother computing `kind` at all.
-    #[inline]
-    pub fn accepts(&self, kind: MetricKind) -> bool {
-        self.filter.accepts(kind)
-    }
-
-    /// Appends one sample (dropped silently when the filter rejects its
-    /// kind, so emission sites need no gating).
-    #[inline]
-    pub fn record(&mut self, t_ms: f64, site: u32, kind: MetricKind, value: f64) {
-        if self.filter.accepts(kind) {
-            self.samples.push(MetricSample {
-                t_ms,
-                site,
-                kind,
-                value,
-            });
+    fn slot(&self, site: u32, kind: MetricKind) -> Option<usize> {
+        let slot = site as usize * MetricKind::ALL.len() + kind as usize;
+        match self.slots.get(slot) {
+            Some(&i) if i != NO_SERIES => Some(i as usize),
+            _ => None,
         }
     }
 
-    /// Number of recorded samples.
+    /// Records that step gauge `kind` at `site` reads `value` from `t_ms`
+    /// on. Times never decrease. Kinds and sites without a series are
+    /// ignored, and so is an unchanged value, so callers need no gating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is a utilization gauge (see [`Self::set_util`]).
+    #[inline]
+    pub fn set(&mut self, t_ms: f64, site: u32, kind: MetricKind, value: f64) {
+        let Some(i) = self.slot(site, kind) else {
+            return;
+        };
+        let (epoch, sample_ms) = (&mut self.epoch, self.sample_ms);
+        match &mut self.series[i].points {
+            Points::Level(track) => track.change(t_ms, value, || epoch.at(t_ms, sample_ms)),
+            Points::Util(_) => panic!("{} is a utilization gauge", kind.label()),
+        }
+    }
+
+    /// Records the busy-signal state behind utilization gauge `kind` at
+    /// `site` from `t_ms` on; exports evaluate it at each boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is a step gauge (see [`Self::set`]).
+    #[inline]
+    pub fn set_util(&mut self, t_ms: f64, site: u32, kind: MetricKind, state: UtilState) {
+        let Some(i) = self.slot(site, kind) else {
+            return;
+        };
+        let (epoch, sample_ms) = (&mut self.epoch, self.sample_ms);
+        match &mut self.series[i].points {
+            Points::Util(track) => track.change(t_ms, state, || epoch.at(t_ms, sample_ms)),
+            Points::Level(_) => panic!("{} is a step gauge", kind.label()),
+        }
+    }
+
+    /// Closes a run that reached its end: the last exported boundary is
+    /// the last one at or before `end`. Record nothing after closing.
+    pub fn close_through(&mut self, end: f64) {
+        self.close(last_boundary_through(end, self.sample_ms));
+    }
+
+    /// Closes a run interrupted at `t` (an event-budget trip): the last
+    /// exported boundary is the last one strictly before `t`, because the
+    /// events at `t` never ran.
+    pub fn close_before(&mut self, t: f64) {
+        self.close(first_boundary_from(t, self.sample_ms) - 1);
+    }
+
+    fn close(&mut self, last: u64) {
+        for s in &mut self.series {
+            assert!(
+                last == 0 || s.points.len() > 0,
+                "series {} of site {} was never seeded",
+                s.kind.label(),
+                s.site
+            );
+            s.last = last;
+        }
+    }
+
+    /// Number of samples the exports write, counted without expanding.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.series.iter().map(|s| s.last as usize).sum()
     }
 
-    /// Whether nothing was recorded.
+    /// Whether the exports are empty.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
-    /// The samples, oldest first.
-    pub fn samples(&self) -> &[MetricSample] {
-        &self.samples
+    /// The samples, in export order, expanded from the change points.
+    pub fn samples(&self) -> Vec<MetricSample> {
+        self.expand(|_| true).collect()
     }
 
-    /// Merges per-LP recorders from the sharded engine: each part
-    /// already carries its true site index (an LP samples only its owned
-    /// site), so no re-tagging happens — the parts concatenate in the
-    /// order given (site-major) and stably sort by time.
+    /// Sites with at least one sample, ascending.
+    pub fn sampled_sites(&self) -> Vec<u32> {
+        let mut sites: Vec<u32> = self
+            .series
+            .iter()
+            .filter(|s| s.last > 0)
+            .map(|s| s.site)
+            .collect();
+        sites.sort_unstable();
+        sites.dedup();
+        sites
+    }
+
+    /// Expands the series `pick` accepts into samples: boundary by
+    /// boundary, and within one boundary in series order.
+    fn expand(&self, pick: impl Fn(&Series) -> bool) -> Expand<'_> {
+        let picked: Vec<(usize, usize)> = (0..self.series.len())
+            .filter(|&i| pick(&self.series[i]))
+            .map(|i| (i, 0))
+            .collect();
+        let last = picked
+            .iter()
+            .map(|&(i, _)| self.series[i].last)
+            .max()
+            .unwrap_or(0);
+        Expand {
+            rec: self,
+            picked,
+            k: 1,
+            next: 0,
+            last,
+        }
+    }
+
+    /// Merges per-LP recorders from the sharded engine. Each part carries
+    /// true site indices (an LP records only its owned site) and its own
+    /// last boundary, so no re-tagging happens: the series concatenate in
+    /// the order given (site-major), and the exports interleave them by
+    /// boundary, keeping part order within one — as a stable time sort of
+    /// the parts' samples would.
     ///
     /// # Panics
     ///
     /// Panics if `parts` is empty.
     pub fn merge_ordered(parts: Vec<MetricsRecorder>) -> MetricsRecorder {
-        let first = parts
+        let sample_ms = parts
             .first()
-            .expect("merge_ordered needs at least one part");
-        let (filter, sample_ms) = (first.filter, first.sample_ms);
-        let mut samples: Vec<MetricSample> =
-            Vec::with_capacity(parts.iter().map(MetricsRecorder::len).sum());
-        let mut next_k = 1;
-        for part in &parts {
-            next_k = next_k.max(part.next_k);
-            samples.extend(part.samples.iter().copied());
-        }
-        samples.sort_by(|a, b| a.t_ms.partial_cmp(&b.t_ms).expect("finite sample times"));
+            .expect("merge_ordered needs at least one part")
+            .sample_ms;
         MetricsRecorder {
-            filter,
             sample_ms,
-            samples,
-            next_k,
+            slots: Vec::new(),
+            series: parts.into_iter().flat_map(|p| p.series).collect(),
+            epoch: Epoch::START,
         }
     }
 
     /// Renders the samples as JSONL: one self-describing object per
     /// sample, oldest first — the machine-consumption format.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 72);
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{{\"t_ms\": {}, \"site\": {}, \"metric\": \"{}\", \"value\": {}}}\n",
-                crate::fmt_f64(s.t_ms),
+        let mut out = String::with_capacity(self.len() * 72);
+        for s in self.expand(|_| true) {
+            writeln!(
+                out,
+                "{{\"t_ms\": {}, \"site\": {}, \"metric\": \"{}\", \"value\": {}}}",
+                JsonF64(s.t_ms),
                 s.site,
                 s.kind.label(),
-                crate::fmt_f64(s.value),
-            ));
+                JsonF64(s.value),
+            )
+            .expect("writing to a String cannot fail");
         }
         out
     }
 
     /// Renders the samples as CSV with a `t_ms,site,metric,value` header.
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 40 + 24);
+        let mut out = String::with_capacity(self.len() * 40 + 24);
         out.push_str("t_ms,site,metric,value\n");
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                crate::fmt_f64(s.t_ms),
+        for s in self.expand(|_| true) {
+            writeln!(
+                out,
+                "{},{},{},{}",
+                JsonF64(s.t_ms),
                 s.site,
                 s.kind.label(),
-                crate::fmt_f64(s.value),
-            ));
+                JsonF64(s.value),
+            )
+            .expect("writing to a String cannot fail");
         }
         out
     }
@@ -401,14 +726,14 @@ impl MetricsRecorder {
     /// process (`pid` = site), exactly where the lifecycle trace puts the
     /// site's slices — so counters and events share one timeline.
     pub fn chrome_counter_lines(&self) -> impl Iterator<Item = String> + '_ {
-        self.samples.iter().map(|s| {
+        self.expand(|_| true).map(|s| {
             format!(
                 "{{\"ph\": \"C\", \"name\": \"{}\", \"cat\": \"metric\", \"pid\": {}, \
                  \"ts\": {}, \"args\": {{\"value\": {}}}}}",
                 s.kind.label(),
                 s.site,
-                crate::fmt_f64(s.t_ms * 1000.0),
-                crate::fmt_f64(s.value),
+                JsonF64(s.t_ms * 1000.0),
+                JsonF64(s.value),
             )
         })
     }
@@ -420,31 +745,28 @@ impl MetricsRecorder {
     /// [`Tracer::to_chrome_json_with`](crate::Tracer::to_chrome_json_with)
     /// instead.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 96 + 256);
+        let mut out = String::with_capacity(self.len() * 96 + 256);
         out.push_str("{\"traceEvents\": [\n");
-        let mut sites: Vec<u32> = self.samples.iter().map(|s| s.site).collect();
-        sites.sort_unstable();
-        sites.dedup();
         let mut first = true;
-        let mut push = |out: &mut String, line: String| {
+        let mut push = |out: &mut String, line: &str| {
             if !first {
                 out.push_str(",\n");
             }
             first = false;
             out.push_str("  ");
-            out.push_str(&line);
+            out.push_str(line);
         };
-        for &n in &sites {
+        for n in self.sampled_sites() {
             push(
                 &mut out,
-                format!(
+                &format!(
                     "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {n}, \
                      \"args\": {{\"name\": \"node {n}\"}}}}"
                 ),
             );
         }
         for line in self.chrome_counter_lines() {
-            push(&mut out, line);
+            push(&mut out, &line);
         }
         out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
         out
@@ -452,22 +774,20 @@ impl MetricsRecorder {
 
     /// Per-metric aggregates over the whole run (values pooled across
     /// sites), in [`MetricKind::ALL`] order; kinds with no samples are
-    /// omitted. `spark_width` is the sparkline column count.
+    /// omitted. `spark_width` is the sparkline column count. Expands one
+    /// kind at a time, so memory stays at one kind's samples.
     pub fn summarize(&self, spark_width: usize) -> Vec<MetricSummary> {
         let mut out = Vec::new();
-        if self.samples.is_empty() {
+        let Some(last) = self.series.iter().map(|s| s.last).max().filter(|&k| k > 0) else {
             return out;
-        }
-        let t_min = self.samples.first().expect("nonempty").t_ms;
-        let t_max = self.samples.last().expect("nonempty").t_ms;
+        };
+        let t_min = self.sample_ms;
+        let t_max = last as f64 * self.sample_ms;
         for kind in MetricKind::ALL {
             let mut vals: Vec<f64> = Vec::new();
             let mut spark_sum = vec![0.0f64; spark_width.max(1)];
             let mut spark_n = vec![0u64; spark_width.max(1)];
-            for s in &self.samples {
-                if s.kind != kind {
-                    continue;
-                }
+            for s in self.expand(|s| s.kind == kind) {
                 vals.push(s.value);
                 let frac = if t_max > t_min {
                     (s.t_ms - t_min) / (t_max - t_min)
@@ -502,6 +822,50 @@ impl MetricsRecorder {
             });
         }
         out
+    }
+}
+
+/// The expansion of some series into samples (see
+/// [`MetricsRecorder::expand`]).
+struct Expand<'a> {
+    rec: &'a MetricsRecorder,
+    /// `(series index, index of the point in force)`, in emission order.
+    picked: Vec<(usize, usize)>,
+    /// Boundary being emitted.
+    k: u64,
+    /// Next position in `picked` at boundary `k`.
+    next: usize,
+    /// Last boundary any picked series emits.
+    last: u64,
+}
+
+impl Iterator for Expand<'_> {
+    type Item = MetricSample;
+
+    fn next(&mut self) -> Option<MetricSample> {
+        while self.k <= self.last {
+            let Some(&mut (i, ref mut at)) = self.picked.get_mut(self.next) else {
+                self.next = 0;
+                self.k += 1;
+                continue;
+            };
+            self.next += 1;
+            let s = &self.rec.series[i];
+            if self.k > s.last {
+                continue;
+            }
+            while *at + 1 < s.points.len() && s.points.k(*at + 1) <= self.k {
+                *at += 1;
+            }
+            let b = self.k as f64 * self.rec.sample_ms;
+            return Some(MetricSample {
+                t_ms: b,
+                site: s.site,
+                kind: s.kind,
+                value: s.points.value(*at, b),
+            });
+        }
+        None
     }
 }
 
@@ -553,18 +917,127 @@ pub fn sparkline(vals: &[f64]) -> String {
 mod tests {
     use super::*;
 
-    fn rec(sample_ms: f64) -> MetricsRecorder {
-        MetricsRecorder::new(&MetricsConfig::new(sample_ms))
+    /// An open recorder over `sites` keeping the kinds `spec` accepts.
+    fn rec(sample_ms: f64, sites: std::ops::Range<u32>, spec: &str) -> MetricsRecorder {
+        let cfg = MetricsConfig {
+            sample_ms,
+            filter: MetricsFilter::parse(spec).unwrap(),
+        };
+        MetricsRecorder::new(&cfg, sites, |_| true)
+    }
+
+    /// `(t_ms, site, value)` of every exported sample.
+    fn rows(m: &MetricsRecorder) -> Vec<(f64, u32, f64)> {
+        m.samples()
+            .iter()
+            .map(|s| (s.t_ms, s.site, s.value))
+            .collect()
     }
 
     #[test]
-    fn boundary_cursor_walks_the_cadence() {
-        let mut m = rec(10.0);
-        assert_eq!(m.next_boundary(), 10.0);
-        m.finish_boundary();
-        assert_eq!(m.next_boundary(), 20.0);
-        m.finish_boundary();
-        assert_eq!(m.next_boundary(), 30.0);
+    fn close_fixes_the_last_boundary() {
+        let mut m = rec(10.0, 0..1, "tm_q");
+        m.set(0.0, 0, MetricKind::TmQ, 0.0);
+        m.close_through(25.0);
+        assert_eq!(m.len(), 2, "boundaries 10 and 20 are <= 25");
+        m.close_through(30.0);
+        assert_eq!(m.len(), 3, "a boundary equal to the end is exported");
+        m.close_before(30.0);
+        assert_eq!(m.len(), 2, "a trip at 30 keeps only boundaries < 30");
+        m.close_before(30.5);
+        assert_eq!(m.len(), 3);
+        m.close_through(9.0);
+        assert!(m.is_empty(), "no boundary fits before the first");
+        // Non-representable cadences still land each boundary on the
+        // printed product k · sample_ms.
+        let mut m = rec(0.1, 0..1, "tm_q");
+        m.set(0.0, 0, MetricKind::TmQ, 0.0);
+        m.close_through(0.3);
+        let times: Vec<f64> = m.samples().iter().map(|s| s.t_ms).collect();
+        let expect: Vec<f64> = (1..=3u64)
+            .map(|k| k as f64 * 0.1)
+            .filter(|&b| b <= 0.3)
+            .collect();
+        assert_eq!(times, expect);
+    }
+
+    #[test]
+    fn a_change_shows_from_the_first_boundary_at_or_after_it() {
+        let mut m = rec(10.0, 0..1, "tm_q");
+        m.set(0.0, 0, MetricKind::TmQ, 0.0);
+        m.set(10.0, 0, MetricKind::TmQ, 1.0); // exactly on boundary 10
+        m.set(10.5, 0, MetricKind::TmQ, 2.0); // first shown at 20
+        m.set(19.0, 0, MetricKind::TmQ, 3.0); // overwrites 2 before 20
+        m.set(35.0, 0, MetricKind::TmQ, 4.0);
+        m.close_through(40.0);
+        assert_eq!(
+            rows(&m),
+            vec![
+                (10.0, 0, 1.0),
+                (20.0, 0, 3.0),
+                (30.0, 0, 3.0),
+                (40.0, 0, 4.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn changes_between_two_boundaries_keep_one_point() {
+        let mut m = rec(10.0, 0..1, "tm_q");
+        let points = |m: &MetricsRecorder| -> Vec<(u64, f64)> {
+            let Points::Level(track) = &m.series[0].points else {
+                unreachable!()
+            };
+            (0..track.len()).map(|i| track.get(i)).collect()
+        };
+        m.set(0.0, 0, MetricKind::TmQ, 0.0);
+        for i in 1..=9 {
+            m.set(10.0 + i as f64, 0, MetricKind::TmQ, i as f64);
+        }
+        assert_eq!(points(&m), vec![(1, 0.0), (2, 9.0)]);
+        // A value that comes back before the next boundary starts no point
+        // of its own, and a redundant call past it records nothing.
+        m.set(25.0, 0, MetricKind::TmQ, 1.0);
+        m.set(26.0, 0, MetricKind::TmQ, 9.0);
+        m.set(35.0, 0, MetricKind::TmQ, 9.0);
+        assert_eq!(points(&m), vec![(1, 0.0), (2, 9.0), (3, 9.0)]);
+        // The next change finds the newest point repeating the one before
+        // it and does not keep it.
+        m.set(36.0, 0, MetricKind::TmQ, 4.0);
+        assert_eq!(points(&m), vec![(1, 0.0), (2, 9.0), (4, 4.0)]);
+        m.close_through(40.0);
+        assert_eq!(
+            rows(&m),
+            vec![
+                (10.0, 0, 0.0),
+                (20.0, 0, 9.0),
+                (30.0, 0, 9.0),
+                (40.0, 0, 4.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn utilization_is_evaluated_at_each_boundary() {
+        let mut m = rec(10.0, 0..1, "cpu_util");
+        let idle = UtilState {
+            start: 0.0,
+            last_t: 0.0,
+            value: 0.0,
+            area: 0.0,
+        };
+        m.set_util(0.0, 0, MetricKind::CpuUtil, idle);
+        let busy = UtilState {
+            last_t: 5.0,
+            value: 1.0,
+            ..idle
+        };
+        m.set_util(5.0, 0, MetricKind::CpuUtil, busy);
+        m.close_through(20.0);
+        let got: Vec<f64> = m.samples().iter().map(|s| s.value).collect();
+        assert_eq!(got, vec![busy.mean(10.0), busy.mean(20.0)]);
+        assert_eq!(got, vec![0.5, 0.75]);
+        assert_eq!(idle.mean(0.0), 0.0, "an empty window reads 0");
     }
 
     #[test]
@@ -600,71 +1073,65 @@ mod tests {
 
     #[test]
     fn record_honours_the_filter() {
-        let mut m = MetricsRecorder::new(&MetricsConfig {
-            sample_ms: 5.0,
-            filter: MetricsFilter::parse("tx").unwrap(),
-        });
-        m.record(5.0, 0, MetricKind::TxActive, 3.0);
-        m.record(5.0, 0, MetricKind::CpuQ, 9.0);
-        assert_eq!(m.len(), 1);
+        let mut m = rec(5.0, 0..1, "tx");
+        m.set(0.0, 0, MetricKind::TxActive, 3.0);
+        m.set(0.0, 0, MetricKind::TxBlocked, 0.0);
+        m.set(0.0, 0, MetricKind::CpuQ, 9.0);
+        m.set(0.0, 7, MetricKind::TxActive, 9.0); // no such site here
+        m.close_through(5.0);
+        assert_eq!(m.len(), 2);
         assert_eq!(m.samples()[0].kind, MetricKind::TxActive);
-        assert!(m.accepts(MetricKind::TxBlocked));
-        assert!(!m.accepts(MetricKind::CpuQ));
+        assert_eq!(m.samples()[0].value, 3.0);
+        let cfg = MetricsConfig::new(5.0);
+        let m = MetricsRecorder::new(&cfg, 0..2, |k| k.category() != "shard");
+        assert_eq!(m.series.len(), 2 * (MetricKind::ALL.len() - 2));
     }
 
     #[test]
     fn merge_ordered_keeps_site_tags_and_part_order_on_ties() {
-        let mut a = rec(10.0);
-        a.record(10.0, 1, MetricKind::TxActive, 4.0);
-        let mut b = rec(10.0);
-        b.record(10.0, 0, MetricKind::TxActive, 7.0);
+        let mut a = rec(10.0, 1..2, "tx_active");
+        a.set(0.0, 1, MetricKind::TxActive, 4.0);
+        a.set(25.0, 1, MetricKind::TxActive, 2.0);
+        a.close_through(30.0);
+        let mut b = rec(10.0, 0..1, "tx_active");
+        b.set(0.0, 0, MetricKind::TxActive, 7.0);
+        b.close_through(10.0);
         // A later part's earlier sample sorts ahead of an earlier part's
         // later one.
-        let mut c = rec(10.0);
-        c.record(10.0, 2, MetricKind::CpuQ, 5.0);
-        c.record(20.0, 2, MetricKind::CpuQ, 6.0);
-        a.record(30.0, 1, MetricKind::TxActive, 2.0);
+        let mut c = rec(10.0, 2..3, "cpu_q");
+        c.set(0.0, 2, MetricKind::CpuQ, 5.0);
+        c.set(15.0, 2, MetricKind::CpuQ, 6.0);
+        c.close_through(20.0);
         let merged = MetricsRecorder::merge_ordered(vec![a, b, c]);
-        let got: Vec<(f64, u32, f64)> = merged
-            .samples()
-            .iter()
-            .map(|s| (s.t_ms, s.site, s.value))
-            .collect();
         assert_eq!(
-            got,
+            rows(&merged),
             vec![
                 (10.0, 1, 4.0),
                 (10.0, 0, 7.0),
                 (10.0, 2, 5.0),
+                (20.0, 1, 4.0),
                 (20.0, 2, 6.0),
                 (30.0, 1, 2.0)
             ],
             "time order across parts; ties keep part (concatenation) order"
         );
+        assert_eq!(merged.len(), 6);
     }
 
     #[test]
     fn merge_sites_retags_and_orders_by_time_then_site() {
-        // One recorder per site, given in site order, each sampling only
+        // One recorder per site, given in site order, each recording only
         // its own site; site 1 ran one boundary further than the others.
         let mut parts: Vec<MetricsRecorder> = Vec::new();
         for site in 0..3u32 {
-            let mut m = rec(10.0);
-            let boundaries = if site == 1 { 3 } else { 2 };
-            for k in 1..=boundaries {
-                m.record(k as f64 * 10.0, site, MetricKind::TxActive, site as f64);
-                m.finish_boundary();
-            }
+            let mut m = rec(10.0, site..site + 1, "tx_active");
+            m.set(0.0, site, MetricKind::TxActive, site as f64);
+            m.close_through(if site == 1 { 30.0 } else { 20.0 });
             parts.push(m);
         }
         let merged = MetricsRecorder::merge_ordered(parts);
-        let got: Vec<(f64, u32, f64)> = merged
-            .samples()
-            .iter()
-            .map(|s| (s.t_ms, s.site, s.value))
-            .collect();
         assert_eq!(
-            got,
+            rows(&merged),
             vec![
                 (10.0, 0, 0.0),
                 (10.0, 1, 1.0),
@@ -676,15 +1143,19 @@ mod tests {
             ],
             "each sample keeps its site tag; (time, site) order"
         );
-        // The cursor resumes after the furthest boundary any part emitted.
-        assert_eq!(merged.next_boundary(), 40.0);
+        assert_eq!(merged.len(), 7, "each part keeps its own last boundary");
+        assert_eq!(merged.sampled_sites(), vec![0, 1, 2]);
     }
 
     #[test]
     fn exports_are_canonical() {
-        let mut m = rec(10.0);
-        m.record(10.0, 0, MetricKind::CpuQ, 1.5);
-        m.record(10.0, 1, MetricKind::JournalBytes, 4096.0);
+        let mut a = rec(10.0, 0..1, "cpu_q");
+        a.set(0.0, 0, MetricKind::CpuQ, 1.5);
+        a.close_through(10.0);
+        let mut b = rec(10.0, 1..2, "journal_bytes");
+        b.set(0.0, 1, MetricKind::JournalBytes, 4096.0);
+        b.close_through(10.0);
+        let m = MetricsRecorder::merge_ordered(vec![a, b]);
         let jsonl = m.to_jsonl();
         assert_eq!(
             jsonl,
@@ -707,11 +1178,12 @@ mod tests {
 
     #[test]
     fn summary_aggregates_and_draws_a_sparkline() {
-        let mut m = rec(10.0);
+        let mut m = rec(10.0, 0..1, "tm_q");
+        m.set(0.0, 0, MetricKind::TmQ, 0.0);
         for k in 1..=100u64 {
-            m.record(k as f64 * 10.0, 0, MetricKind::TmQ, k as f64);
-            m.finish_boundary();
+            m.set((k - 1) as f64 * 10.0 + 1.0, 0, MetricKind::TmQ, k as f64);
         }
+        m.close_through(1000.0);
         let rows = m.summarize(10);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];

@@ -508,7 +508,7 @@ impl Tracer {
         out.push_str("{\"traceEvents\": [\n");
         let mut nodes: Vec<u32> = self.events().map(|e| e.node).collect();
         if let Some(m) = metrics {
-            nodes.extend(m.samples().iter().map(|s| s.site));
+            nodes.extend(m.sampled_sites());
         }
         nodes.sort_unstable();
         nodes.dedup();

@@ -468,11 +468,11 @@ pub struct SimConfig {
     /// one branch each, allocate nothing, and draw no randomness, so a
     /// traceless run is byte-identical to a pre-observability build.
     pub trace: Option<TraceConfig>,
-    /// Sim-time metrics sampling. `None` (the default) leaves the event
-    /// loop untouched — the sampling hook reduces to one branch per
-    /// event. When set, the engine samples per-site gauges at every
-    /// virtual-time boundary `k · sample_ms`; samples are byte-identical
-    /// for every shard count (DESIGN.md §15).
+    /// Sim-time metrics. `None` (the default) leaves the event loop
+    /// untouched — each recording hook reduces to one branch. When set, the
+    /// engine records per-site gauges when they change, and the exports
+    /// give their values at every virtual-time boundary `k · sample_ms`;
+    /// samples are byte-identical for every shard count (DESIGN.md §15).
     pub metrics: Option<MetricsConfig>,
     /// Worker threads for the site-sharded engine (`1` = run everything on
     /// the calling thread). Purely a parallelism knob: whether a run is
@@ -551,6 +551,20 @@ impl SimConfig {
                 return param(
                     "metrics.sample_ms",
                     format!("{} must be finite and positive", m.sample_ms),
+                );
+            }
+            // Boundary indices must stay exact integers the recorder can
+            // step through; far beyond this no export could be written.
+            let boundaries = (self.warmup_ms + self.measure_ms) / m.sample_ms;
+            if boundaries > f64::from(u32::MAX) {
+                return param(
+                    "metrics.sample_ms",
+                    format!(
+                        "{:e} ms gives {boundaries:.3e} sample boundaries over the run; \
+                         at most {} are supported",
+                        m.sample_ms,
+                        u32::MAX
+                    ),
                 );
             }
         }

@@ -13,7 +13,9 @@ use std::fmt::Write as _;
 
 use carat_des::{Fcfs, Histogram, Scheduler, Tally, Time};
 use carat_lock::{LockManager, LockMode, Outcome, TimestampManager, TsOutcome, WaitForGraph};
-use carat_obs::{CounterRegistry, MetricKind, MetricsRecorder, TraceEvent, TraceKind, Tracer};
+use carat_obs::{
+    CounterRegistry, MetricKind, MetricsRecorder, TraceEvent, TraceKind, Tracer, UtilState,
+};
 use carat_storage::Database;
 use carat_workload::TxType;
 use rand::rngs::StdRng;
@@ -353,7 +355,47 @@ pub(crate) struct Txn {
     /// home (programs sandwich each remote visit with `Net` hops to and
     /// from home), so home always knows where to route a probe.
     cur_site: usize,
+    /// What this slab entry is counted as in [`Sim::census`] (`None`:
+    /// nothing; always `None` with the recorder off).
+    counted: Option<CensusKey>,
 }
+
+/// What one slab entry adds to the per-site census: one active
+/// transaction at its home and, unless it is a ghost, one blocked and/or
+/// one 2PC-deciding transaction at the site it executes at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CensusKey {
+    home: usize,
+    blocked_at: Option<usize>,
+    deciding_at: Option<usize>,
+}
+
+impl CensusKey {
+    fn of(tx: &Txn) -> Self {
+        let here = (!tx.away).then_some(tx.at_site);
+        CensusKey {
+            home: tx.home,
+            blocked_at: here.filter(|_| tx.blocked_since.is_some()),
+            deciding_at: here.filter(|_| tx.decided),
+        }
+    }
+
+    /// The census site per [`CENSUS_KINDS`] entry.
+    fn sites(key: Option<Self>) -> [Option<usize>; 3] {
+        [
+            key.map(|k| k.home),
+            key.and_then(|k| k.blocked_at),
+            key.and_then(|k| k.deciding_at),
+        ]
+    }
+}
+
+/// The gauges [`Sim::census`] counts, in the order of its columns.
+const CENSUS_KINDS: [MetricKind; 3] = [
+    MetricKind::TxActive,
+    MetricKind::TxBlocked,
+    MetricKind::TwopcInflight,
+];
 
 impl Txn {
     /// A blank transaction shell for the recycling pool.
@@ -384,6 +426,7 @@ impl Txn {
             missed: Vec::new(),
             away: false,
             cur_site: 0,
+            counted: None,
         }
     }
 }
@@ -621,12 +664,14 @@ pub struct Sim {
     tracer: Option<Box<Tracer>>,
     /// Sim-time metrics recorder, present only when
     /// [`SimConfig::metrics`] is set. Same inert-default pattern as the
-    /// tracer: the unsampled simulator pays one pointer of state and one
-    /// branch (plus a float compare when enabled) per event. Sampling only
-    /// ever *reads* simulation state at virtual-time boundaries, so
-    /// sampled and unsampled runs execute the same event sequence and
+    /// tracer: without it each `obs_*` hook is one branch. The hooks only
+    /// ever *read* simulation state, after the mutations they report, so
+    /// recorded and unrecorded runs execute the same event sequence and
     /// produce the same report.
     metrics: Option<Box<MetricsRecorder>>,
+    /// Per-site `[active by home, blocked, 2PC-deciding]` counts of the
+    /// slab entries ([`CENSUS_KINDS`]), kept only with the recorder on.
+    census: Vec<[u64; 3]>,
     /// Cross-LP messages handled / emitted by this logical process
     /// (deterministic inputs to the `shard` metric category; always 0 in
     /// the monolithic engine and in site-separable sharded runs).
@@ -740,13 +785,24 @@ impl Sim {
         let tracer = cfg.trace.clone().map(|tc| Box::new(Tracer::new(tc)));
         let sites = cfg.params.sites();
         let replicated = cfg.partition_plan.replication > 1 || cfg.partition_plan.is_active();
-        let metrics = cfg
-            .metrics
-            .as_ref()
-            .map(|mc| Box::new(MetricsRecorder::new(mc)));
-        Ok(Sim {
+        // One series per recorded site and kind: the log disk's only with
+        // a separate log disk, the cross-LP message counts only on an LP.
+        let metrics = cfg.metrics.as_ref().map(|mc| {
+            let recorded = match owned {
+                Some(s) => s as u32..s as u32 + 1,
+                None => 0..sites as u32,
+            };
+            let log_disk = cfg.separate_log_disk;
+            Box::new(MetricsRecorder::new(mc, recorded, |kind| match kind {
+                MetricKind::LogDiskQ | MetricKind::LogDiskUtil => log_disk,
+                MetricKind::XmsgIn | MetricKind::XmsgOut => owned.is_some(),
+                _ => true,
+            }))
+        });
+        let mut sim = Sim {
             tracer,
             metrics,
+            census: vec![[0; 3]; sites],
             xmsg_in: 0,
             xmsg_out: 0,
             ev_counts: [0; Ev::KINDS],
@@ -797,7 +853,9 @@ impl Sim {
             absorbed_sched_hwm: 0,
             absorbed_slab_hwm: 0,
             absorbed_slab_slots: 0,
-        })
+        };
+        sim.obs_seed();
+        Ok(sim)
     }
 
     /// Builds one site-level logical process of the sharded engine: the
@@ -914,16 +972,11 @@ impl Sim {
             if t > end {
                 break;
             }
-            // Emit every sample boundary strictly below `t` before the
-            // event (and before a potential budget trip at `t`): a sample
-            // at boundary `b` captures the state after all events ≤ b.
-            if let Some(m) = self.metrics.as_deref() {
-                if m.next_boundary() < t {
-                    self.metrics_flush_below(t, end);
-                }
-            }
             if budget != 0 && self.events >= budget {
-                let partial_metrics = self.metrics.take();
+                let partial_metrics = self.metrics.take().map(|mut m| {
+                    m.close_before(t);
+                    m
+                });
                 let report = self.wind_down(t.min(end));
                 return Err(SimError::EventBudgetExhausted {
                     budget,
@@ -938,157 +991,199 @@ impl Sim {
                 self.advance(id);
             }
         }
-        // No event beyond the cutoff can change state: flush the
-        // remaining boundaries up to the horizon before wind-down mutates
-        // node state (crash recovery, replica catch-up).
-        if self.metrics.is_some() {
-            self.metrics_flush_through(end);
-        }
+        // No event beyond the cutoff can change state: fix the last
+        // boundary and take the recorder out before wind-down mutates node
+        // state (crash recovery, replica catch-up), so those changes never
+        // reach a sample.
+        let metrics = self.metrics.take().map(|mut m| {
+            m.close_through(end);
+            *m
+        });
         let report = self.wind_down(end);
-        Ok((
-            report,
-            self.tracer.take().map(|b| *b),
-            self.metrics.take().map(|b| *b),
-        ))
+        Ok((report, self.tracer.take().map(|b| *b), metrics))
     }
 
-    /// Emits every pending sample boundary strictly below `t` (and never
-    /// beyond `end`). Callers gate on `self.metrics` being present and
-    /// due, so the disabled hot path stays one branch per event.
-    fn metrics_flush_below(&mut self, t: Time, end: Time) {
-        while let Some(b) = self
-            .metrics
-            .as_deref()
-            .map(MetricsRecorder::next_boundary)
-            .filter(|&b| b < t && b <= end)
-        {
-            self.metrics_sample_at(b);
-            self.metrics
-                .as_deref_mut()
-                .expect("recorder present")
-                .finish_boundary();
+    // --- Metrics hooks. Each reports one family of gauges after the
+    // --- mutations that change it, at the current event time. The
+    // --- recorder ignores unchanged values, filtered kinds and sites this
+    // --- process does not record, so a redundant call is harmless; with
+    // --- the recorder off each hook is one branch.
+
+    /// Records every gauge's state at t = 0, the first point of each
+    /// series.
+    fn obs_seed(&mut self) {
+        if self.metrics.is_none() {
+            return;
         }
-    }
-
-    /// Emits every remaining boundary up to and including `end` — the
-    /// wind-down flush, called once no further event at or below `end`
-    /// can run.
-    fn metrics_flush_through(&mut self, end: Time) {
-        while let Some(b) = self
-            .metrics
-            .as_deref()
-            .map(MetricsRecorder::next_boundary)
-            .filter(|&b| b <= end)
-        {
-            self.metrics_sample_at(b);
-            self.metrics
-                .as_deref_mut()
-                .expect("recorder present")
-                .finish_boundary();
-        }
-    }
-
-    /// Records one boundary's batch of samples at virtual time `b`. The
-    /// monolithic engine samples every site; a sharded-engine LP samples
-    /// only its owned site (peer node states are inert there), so the
-    /// merged timeseries covers each site exactly once. Values are pure
-    /// functions of `(state, b)` — no wall clock, no RNG — and kinds are
-    /// emitted in [`MetricKind::ALL`] order per site, so the sample
-    /// stream is canonical.
-    fn metrics_sample_at(&mut self, b: Time) {
-        let mut m = self.metrics.take().expect("caller checked");
-        let census = m.accepts(MetricKind::TxActive)
-            || m.accepts(MetricKind::TxBlocked)
-            || m.accepts(MetricKind::TwopcInflight);
-        let sites = self.nodes.len();
-        // Per-site transaction census: active by *home* (ghosts stand in
-        // for transactions visiting other LPs, so each counts exactly
-        // once), blocked and 2PC-deciding by *current* site.
-        let mut active = vec![0u64; if census { sites } else { 0 }];
-        let mut blocked = vec![0u64; if census { sites } else { 0 }];
-        let mut deciding = vec![0u64; if census { sites } else { 0 }];
-        if census {
-            for (_, tx) in self.txs.iter() {
-                if tx.home < sites {
-                    active[tx.home] += 1;
-                }
-                if !tx.away && tx.at_site < sites {
-                    if tx.blocked_since.is_some() {
-                        blocked[tx.at_site] += 1;
-                    }
-                    if tx.decided {
-                        deciding[tx.at_site] += 1;
-                    }
-                }
+        for site in 0..self.nodes.len() {
+            for queue in [MetricKind::CpuQ, MetricKind::DiskQ, MetricKind::LogDiskQ] {
+                self.obs_station(site, queue);
+            }
+            self.obs_servers(site);
+            self.obs_locks(site);
+            self.obs_journal(site);
+            let now = self.sched.now();
+            let m = self.metrics.as_deref_mut().expect("checked above");
+            for (kind, count) in CENSUS_KINDS.into_iter().zip(self.census[site]) {
+                m.set(now, site as u32, kind, count as f64);
             }
         }
-        let range = match self.owned {
-            Some(s) => s..s + 1,
-            None => 0..sites,
+        self.obs_xmsg();
+    }
+
+    /// Population and utilization state of the station at `site` whose
+    /// queue gauge is `queue` (CPU, database disk or log disk), after an
+    /// arrival, a completion or a statistics reset there.
+    #[inline]
+    fn obs_station(&mut self, site: usize, queue: MetricKind) {
+        let Some(m) = self.metrics.as_deref_mut() else {
+            return;
         };
-        for i in range {
-            let site = i as u32;
-            let node = &self.nodes[i];
-            m.record(b, site, MetricKind::CpuQ, node.cpu.population() as f64);
-            m.record(b, site, MetricKind::DiskQ, node.disk.population() as f64);
-            if self.cfg.separate_log_disk {
-                m.record(
-                    b,
-                    site,
-                    MetricKind::LogDiskQ,
-                    node.log_disk.population() as f64,
-                );
+        let node = &self.nodes[site];
+        let (station, util) = match queue {
+            MetricKind::CpuQ => (&node.cpu, MetricKind::CpuUtil),
+            MetricKind::DiskQ => (&node.disk, MetricKind::DiskUtil),
+            _ => (&node.log_disk, MetricKind::LogDiskUtil),
+        };
+        let (now, s) = (self.sched.now(), site as u32);
+        m.set(now, s, queue, station.population() as f64);
+        let (start, last_t, value, area) = station.util_state().state();
+        let state = UtilState {
+            start,
+            last_t,
+            value,
+            area,
+        };
+        m.set_util(now, s, util, state);
+    }
+
+    /// TM population, DM queue and DM servers in use at `site`.
+    #[inline]
+    fn obs_servers(&mut self, site: usize) {
+        let Some(m) = self.metrics.as_deref_mut() else {
+            return;
+        };
+        let node = &self.nodes[site];
+        let (now, s) = (self.sched.now(), site as u32);
+        let tm = node.tm_queue.len() + usize::from(node.tm_busy.is_some());
+        m.set(now, s, MetricKind::TmQ, tm as f64);
+        m.set(now, s, MetricKind::DmQ, node.dm_queue.len() as f64);
+        let in_use = self.cfg.dm_pool - node.dm_free;
+        m.set(now, s, MetricKind::DmInUse, in_use as f64);
+    }
+
+    /// Lock-table depth and waiters at `site`, after a lock-manager call.
+    #[inline]
+    fn obs_locks(&mut self, site: usize) {
+        let Some(m) = self.metrics.as_deref_mut() else {
+            return;
+        };
+        let locks = &self.nodes[site].locks;
+        let (now, s) = (self.sched.now(), site as u32);
+        m.set(
+            now,
+            s,
+            MetricKind::LockDepth,
+            locks.granted_entries() as f64,
+        );
+        m.set(
+            now,
+            s,
+            MetricKind::LockWaiters,
+            locks.waiting_count() as f64,
+        );
+    }
+
+    /// Journal length at `site`, after a storage call that appends to or
+    /// truncates it.
+    #[inline]
+    fn obs_journal(&mut self, site: usize) {
+        let Some(m) = self.metrics.as_deref_mut() else {
+            return;
+        };
+        let bytes = self.nodes[site].db.journal().len_bytes();
+        m.set(
+            self.sched.now(),
+            site as u32,
+            MetricKind::JournalBytes,
+            bytes as f64,
+        );
+    }
+
+    /// Cross-LP messages handled and emitted by this logical process.
+    fn obs_xmsg(&mut self) {
+        let (Some(m), Some(site)) = (self.metrics.as_deref_mut(), self.owned) else {
+            return;
+        };
+        let (now, s) = (self.sched.now(), site as u32);
+        m.set(now, s, MetricKind::XmsgIn, self.xmsg_in as f64);
+        m.set(now, s, MetricKind::XmsgOut, self.xmsg_out as f64);
+    }
+
+    /// Re-counts slab entry `id` in the census after a change of its home,
+    /// `blocked_since`, `decided`, `at_site` or `away`, or its arrival in
+    /// the slab.
+    #[inline]
+    fn census_sync(&mut self, id: TxId) {
+        if self.metrics.is_none() {
+            return;
+        }
+        let Some(tx) = self.txs.get_mut(id) else {
+            return;
+        };
+        let key = Some(CensusKey::of(tx));
+        let old = std::mem::replace(&mut tx.counted, key);
+        self.census_move(old, key);
+    }
+
+    /// Uncounts a transaction that just left the slab.
+    fn census_drop(&mut self, tx: &mut Txn) {
+        if let Some(old) = tx.counted.take() {
+            self.census_move(Some(old), None);
+        }
+    }
+
+    /// Moves one slab entry's census contribution from `old` to `new` and
+    /// records the counts that changed.
+    fn census_move(&mut self, old: Option<CensusKey>, new: Option<CensusKey>) {
+        if old == new {
+            return;
+        }
+        let (from, to) = (CensusKey::sites(old), CensusKey::sites(new));
+        let now = self.sched.now();
+        for col in 0..CENSUS_KINDS.len() {
+            if from[col] == to[col] {
+                continue;
             }
-            let tm = node.tm_queue.len() + usize::from(node.tm_busy.is_some());
-            m.record(b, site, MetricKind::TmQ, tm as f64);
-            m.record(b, site, MetricKind::DmQ, node.dm_queue.len() as f64);
-            m.record(b, site, MetricKind::CpuUtil, node.cpu.utilization(b));
-            m.record(b, site, MetricKind::DiskUtil, node.disk.utilization(b));
-            if self.cfg.separate_log_disk {
-                m.record(
-                    b,
-                    site,
-                    MetricKind::LogDiskUtil,
-                    node.log_disk.utilization(b),
-                );
-            }
-            m.record(
-                b,
-                site,
-                MetricKind::DmInUse,
-                (self.cfg.dm_pool - node.dm_free) as f64,
-            );
-            if census {
-                m.record(b, site, MetricKind::TxActive, active[i] as f64);
-                m.record(b, site, MetricKind::TxBlocked, blocked[i] as f64);
-            }
-            m.record(
-                b,
-                site,
-                MetricKind::LockDepth,
-                node.locks.granted_entries() as f64,
-            );
-            m.record(
-                b,
-                site,
-                MetricKind::LockWaiters,
-                node.locks.waiting_count() as f64,
-            );
-            if census {
-                m.record(b, site, MetricKind::TwopcInflight, deciding[i] as f64);
-            }
-            m.record(
-                b,
-                site,
-                MetricKind::JournalBytes,
-                node.db.journal().len_bytes() as f64,
-            );
-            if self.owned.is_some() {
-                m.record(b, site, MetricKind::XmsgIn, self.xmsg_in as f64);
-                m.record(b, site, MetricKind::XmsgOut, self.xmsg_out as f64);
+            for (site, up) in [(from[col], false), (to[col], true)] {
+                let Some(site) = site else { continue };
+                let count = &mut self.census[site][col];
+                if up {
+                    *count += 1;
+                } else {
+                    *count -= 1;
+                }
+                if let Some(m) = self.metrics.as_deref_mut() {
+                    m.set(now, site as u32, CENSUS_KINDS[col], *count as f64);
+                }
             }
         }
-        self.metrics = Some(m);
+        #[cfg(debug_assertions)]
+        self.census_check();
+    }
+
+    /// Debug cross-check: the census counters equal a full slab scan.
+    #[cfg(debug_assertions)]
+    fn census_check(&self) {
+        let mut scan = vec![[0u64; 3]; self.nodes.len()];
+        for (_, tx) in self.txs.iter() {
+            scan[tx.home][0] += 1;
+            if !tx.away {
+                scan[tx.at_site][1] += u64::from(tx.blocked_since.is_some());
+                scan[tx.at_site][2] += u64::from(tx.decided);
+            }
+        }
+        assert_eq!(scan, self.census, "census counters drifted from the slab");
     }
 
     /// End-of-run post-processing + report assembly. Pure bookkeeping on
@@ -1140,6 +1235,7 @@ impl Sim {
                         },
                     );
                 }
+                self.obs_station(site, MetricKind::CpuQ);
                 self.step_past(tx);
             }
             Ev::DiskDone { site, tx } => {
@@ -1152,6 +1248,7 @@ impl Sim {
                         },
                     );
                 }
+                self.obs_station(site, MetricKind::DiskQ);
                 self.step_past(tx);
             }
             Ev::LogDone { site, tx } => {
@@ -1164,6 +1261,7 @@ impl Sim {
                         },
                     );
                 }
+                self.obs_station(site, MetricKind::LogDiskQ);
                 self.step_past(tx);
             }
             Ev::NetDone { tx, token } => self.net_delivered(tx, token),
@@ -1375,6 +1473,7 @@ impl Sim {
         if !deferred.is_empty() {
             self.pending_catchup.insert(site, deferred);
         }
+        self.obs_journal(site);
         self.stats.catchup_records += n;
         if live && n > 0 {
             // One granule transfer per replayed record, charged to the
@@ -1391,6 +1490,7 @@ impl Sim {
                     },
                 );
             }
+            self.obs_station(site, MetricKind::DiskQ);
         }
         if self.tracer.is_some() && n > 0 {
             let now = self.sched.now();
@@ -1471,6 +1571,7 @@ impl Sim {
         //    its storage while it is down.
         if downtime.is_none() {
             self.nodes[site].db.crash_and_recover();
+            self.obs_journal(site);
         } else {
             self.nodes[site].up = false;
         }
@@ -1510,6 +1611,8 @@ impl Sim {
             TimestampManager::new()
         };
         self.nodes[site].dm_free = self.cfg.dm_pool;
+        self.obs_servers(site);
+        self.obs_locks(site);
         // The site's DM server processes restarted: nobody holds one any
         // more (without this, the pool over-fills when poisoned holders
         // "release" their vanished servers at abort time).
@@ -1558,6 +1661,7 @@ impl Sim {
                 if let Some(since) = tx.blocked_since.take() {
                     self.stats.lock_wait.record(now - since);
                 }
+                self.census_sync(id);
                 if !self.ready.contains(&id) {
                     self.ready.push_back(id);
                 }
@@ -1582,7 +1686,8 @@ impl Sim {
     /// in-doubt prepared participant's — stay until the termination
     /// protocol fires.
     fn kill_homed_tx(&mut self, id: TxId, home: usize) {
-        let tx = self.txs.remove(id).expect("live tx");
+        let mut tx = self.txs.remove(id).expect("live tx");
+        self.census_drop(&mut tx);
         let token = id.token();
         self.stats.crash_kills += 1;
         self.tx_killed += 1;
@@ -1595,6 +1700,7 @@ impl Sim {
             self.nodes[s].tso.cancel_waits(token);
             self.nodes[s].tm_queue.retain(|&q| q != id);
             self.nodes[s].dm_queue.retain(|&q| q != id);
+            self.obs_servers(s);
             if self.nodes[s].tm_busy == Some(id) {
                 self.grant_tm_to_next(s);
             }
@@ -1635,6 +1741,7 @@ impl Sim {
             ));
         }
         let undone = self.nodes[site].db.crash_and_recover();
+        self.obs_journal(site);
         if !undone.is_empty() {
             // Background recovery I/O: one block restore per undone
             // transaction's journal extent plus the forced abort records,
@@ -1653,6 +1760,7 @@ impl Sim {
                     },
                 );
             }
+            self.obs_station(site, MetricKind::DiskQ);
         }
         // Writes the replicas committed while this site was down ship over
         // as journal catch-up — unless a partition currently separates the
@@ -1699,6 +1807,7 @@ impl Sim {
                 .db
                 .rollback(gid)
                 .expect("orphan rollback of a participant verified active at this site");
+            self.obs_journal(site);
             let ios = io.total();
             if ios > 0 {
                 let ms = ios as f64 * self.cfg.params.nodes[site].disk_io_ms;
@@ -1713,6 +1822,7 @@ impl Sim {
                         },
                     );
                 }
+                self.obs_station(site, MetricKind::DiskQ);
             }
         }
         self.release_locks_and_wake(site, token);
@@ -1841,6 +1951,7 @@ impl Sim {
         let tx = self.txs.get_mut(id).expect("live tx");
         tx.net_token = None;
         tx.at_site = to;
+        self.census_sync(id);
         self.step_past(id);
     }
 
@@ -2000,16 +2111,6 @@ impl Sim {
             if t >= horizon || t > end {
                 return None;
             }
-            // Safe to sample below `t`: conservative sync guarantees any
-            // message not yet visible carries a timestamp ≥ horizon > t,
-            // so all events ≤ b < t have been applied. Flushing before
-            // the budget check gives a trip at `t` exactly the samples
-            // strictly below the trip instant.
-            if let Some(m) = self.metrics.as_deref() {
-                if m.next_boundary() < t {
-                    self.metrics_flush_below(t, end);
-                }
-            }
             if budget != 0 && self.events >= budget {
                 return Some(t);
             }
@@ -2036,6 +2137,7 @@ impl Sim {
     /// (`ev_net_done`), probe hops are probe deliveries (`ev_probe`).
     fn handle_xmsg(&mut self, msg: XMsg) {
         self.xmsg_in += 1;
+        self.obs_xmsg();
         match msg {
             XMsg::Migrate { txn } => {
                 self.ev_counts[3] += 1; // ev_net_done
@@ -2109,16 +2211,21 @@ impl Sim {
         stub.missed.clear();
         stub.away = true;
         stub.cur_site = to;
+        stub.counted = slot.counted;
         let txn = std::mem::replace(slot, stub);
         let keep = txn.home == owned
             || self.nodes[owned].locks.held_count(token) > 0
             || self.nodes[owned].tso.has_pending(token);
-        if !keep {
-            let ghost = self.txs.remove(id).expect("ghost just written");
+        if keep {
+            self.census_sync(id);
+        } else {
+            let mut ghost = self.txs.remove(id).expect("ghost just written");
+            self.census_drop(&mut ghost);
             self.gid_index.remove(&ghost.gid);
             self.spare_txns.push(ghost);
         }
         self.xmsg_out += 1;
+        self.obs_xmsg();
         self.outbox
             .push((to, now + ms, XMsg::Migrate { txn: Box::new(txn) }));
     }
@@ -2133,10 +2240,14 @@ impl Sim {
         txn.at_site = owned;
         txn.cur_site = owned;
         txn.net_token = None;
+        // The sender's census entry stayed with its ghost there; here the
+        // transaction takes over its local ghost's, if any.
+        txn.counted = None;
         let id = match self.gid_index.get(&gid) {
             Some(&id) => {
                 let slot = self.txs.get_mut(id).expect("ghost is live");
                 debug_assert!(slot.away, "resident transaction migrated onto itself");
+                txn.counted = slot.counted;
                 let ghost = std::mem::replace(slot, txn);
                 self.spare_txns.push(ghost);
                 id
@@ -2147,6 +2258,7 @@ impl Sim {
                 id
             }
         };
+        self.census_sync(id);
         // The network hop completes on arrival: account its residence to
         // its segment and resume the program.
         self.step_past(id);
@@ -2182,6 +2294,7 @@ impl Sim {
             let dest = if home == owned { cur_site } else { home };
             let alpha = self.cfg.params.comm_delay_ms;
             self.xmsg_out += 1;
+            self.obs_xmsg();
             self.outbox.push((
                 dest,
                 self.sched.now() + alpha,
@@ -2217,6 +2330,7 @@ impl Sim {
             let dest = if home == owned { cur_site } else { home };
             let alpha = self.cfg.params.comm_delay_ms;
             self.xmsg_out += 1;
+            self.obs_xmsg();
             self.outbox.push((
                 dest,
                 self.sched.now() + alpha,
@@ -2259,6 +2373,7 @@ impl Sim {
                     self.stats.lock_wait.record(now - since);
                 }
             }
+            self.census_sync(target);
             if self.tracer.is_some() {
                 self.trace(
                     TraceEvent::new(
@@ -2349,15 +2464,16 @@ impl Sim {
         self.tracer.take().map(|b| *b)
     }
 
-    /// Flushes the remaining sample boundaries up to `end`. The sharded
-    /// driver calls this when an LP retires *without* a budget trip: the
-    /// retirement condition (`min(next, horizon) > end`) guarantees no
-    /// further event at or below `end` will ever run here, so the
-    /// remaining boundaries are final. Tripped LPs keep only the samples
-    /// below their trip instant.
-    pub(crate) fn lp_finish_metrics(&mut self, end: Time) {
-        if self.metrics.is_some() {
-            self.metrics_flush_through(end);
+    /// Closes this LP's recorder when it retires: through `end` after a
+    /// normal run — the retirement condition (`min(next, horizon) > end`)
+    /// guarantees no further event at or below `end` will ever run here —
+    /// or strictly below `trip` when its event budget tripped there.
+    pub(crate) fn lp_close_metrics(&mut self, trip: Option<Time>, end: Time) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            match trip {
+                Some(t) => m.close_before(t),
+                None => m.close_through(end),
+            }
         }
     }
 
@@ -2451,7 +2567,9 @@ impl Sim {
         tx.at_site = home;
         tx.away = false;
         tx.cur_site = home;
+        tx.counted = None;
         let id = self.txs.insert(tx);
+        self.census_sync(id);
         if self.owned.is_some() {
             self.gid_index.insert(gid, id);
         }
@@ -2620,6 +2738,11 @@ impl Sim {
             n.base_lock_conflicts = n.acc_lock_conflicts + n.locks.conflicts();
             n.base_cc_rejections = n.acc_cc_rejections + n.tso.rejections();
         }
+        for site in 0..self.nodes.len() {
+            for queue in [MetricKind::CpuQ, MetricKind::DiskQ, MetricKind::LogDiskQ] {
+                self.obs_station(site, queue);
+            }
+        }
         self.stats = Stats {
             window_start: now,
             ..Stats::default()
@@ -2650,6 +2773,7 @@ impl Sim {
                         self.sched
                             .schedule_in(started.service, Ev::CpuDone { site, tx: id });
                     }
+                    self.obs_station(site, MetricKind::CpuQ);
                     return;
                 }
                 Op::UseDisk { site, ms, ios, log } => {
@@ -2660,9 +2784,13 @@ impl Sim {
                             self.sched
                                 .schedule_in(started.service, Ev::LogDone { site, tx: id });
                         }
-                    } else if let Some(started) = self.nodes[site].disk.arrive(now, token, ms) {
-                        self.sched
-                            .schedule_in(started.service, Ev::DiskDone { site, tx: id });
+                        self.obs_station(site, MetricKind::LogDiskQ);
+                    } else {
+                        if let Some(started) = self.nodes[site].disk.arrive(now, token, ms) {
+                            self.sched
+                                .schedule_in(started.service, Ev::DiskDone { site, tx: id });
+                        }
+                        self.obs_station(site, MetricKind::DiskQ);
                     }
                     return;
                 }
@@ -2685,9 +2813,11 @@ impl Sim {
                         let tx = self.txs.get_mut(id).expect("live tx");
                         tx.tm_held = Some(site);
                         tx.pc += 1;
+                        self.obs_servers(site);
                     } else {
                         node.tm_queue.push_back(id);
                         self.txs.get_mut(id).expect("live tx").op_started = now;
+                        self.obs_servers(site);
                         return;
                     }
                 }
@@ -2712,9 +2842,11 @@ impl Sim {
                             let tx = self.txs.get_mut(id).expect("live tx");
                             tx.dm_sites.push(site);
                             tx.pc += 1;
+                            self.obs_servers(site);
                         } else {
                             node.dm_queue.push_back(id);
                             self.txs.get_mut(id).expect("live tx").op_started = now;
+                            self.obs_servers(site);
                             return;
                         }
                     }
@@ -2786,6 +2918,7 @@ impl Sim {
                             TsOutcome::WaitFor(_) => {
                                 let t = self.sched.now();
                                 self.txs.get_mut(id).expect("live tx").blocked_since = Some(t);
+                                self.census_sync(id);
                                 if self.tracer.is_some() {
                                     self.trace(
                                         TraceEvent::new(
@@ -2825,7 +2958,9 @@ impl Sim {
                             .detail(block as u64),
                         );
                     }
-                    match self.nodes[site].locks.request(token, block, mode) {
+                    let outcome = self.nodes[site].locks.request(token, block, mode);
+                    self.obs_locks(site);
+                    match outcome {
                         Outcome::Granted => self.bump(id),
                         Outcome::Queued => {
                             if self.deadlock_check(id, site) {
@@ -2848,6 +2983,7 @@ impl Sim {
                             } else if self.nodes[site].locks.waiting_block(token).is_some() {
                                 let t = self.sched.now();
                                 self.txs.get_mut(id).expect("live tx").blocked_since = Some(t);
+                                self.census_sync(id);
                                 if self.tracer.is_some() {
                                     self.trace(
                                         TraceEvent::new(
@@ -2883,6 +3019,7 @@ impl Sim {
                             .db
                             .update_record(gid, rid, self.val_buf.as_bytes())
                             .expect("update of a begun transaction at a validated address");
+                        self.obs_journal(site);
                         self.txs
                             .get_mut(id)
                             .expect("live tx")
@@ -2902,6 +3039,7 @@ impl Sim {
                         .db
                         .prepare(gid)
                         .expect("prepare of a transaction begun at this site");
+                    self.obs_journal(site);
                     if self.tracer.is_some() {
                         self.trace(
                             TraceEvent::new(
@@ -2922,8 +3060,9 @@ impl Sim {
                     // `CommitSite` on: later message losses must deliver
                     // the outcome, not presume abort (a participant may
                     // already have committed).
-                    let tx = self.txs.get_mut(id).expect("live tx");
-                    tx.decided = true;
+                    self.txs.get_mut(id).expect("live tx").decided = true;
+                    self.census_sync(id);
+                    let tx = self.txs.get(id).expect("live tx");
                     if tx.begun_sites.contains(&site) {
                         // Record the committed writes at this site, then
                         // commit in storage. `last_committed` and `db` are
@@ -2954,6 +3093,7 @@ impl Sim {
                             .db
                             .commit(gid)
                             .expect("commit of a transaction begun at this site");
+                        self.obs_journal(site);
                     }
                     if self.cfg.cc == CcProtocol::TwoPhaseLocking {
                         self.release_locks_and_wake(site, token);
@@ -2990,6 +3130,7 @@ impl Sim {
                             .db
                             .rollback(gid)
                             .expect("rollback of a transaction verified active at this site");
+                        self.obs_journal(site);
                     }
                     if self.cfg.cc == CcProtocol::TwoPhaseLocking {
                         self.release_locks_and_wake(site, token);
@@ -3030,6 +3171,7 @@ impl Sim {
         let mut woken = std::mem::take(&mut self.woken_scratch);
         woken.clear();
         self.nodes[site].locks.release_all_into(token, &mut woken);
+        self.obs_locks(site);
         self.wake(&woken);
         self.woken_scratch = woken;
     }
@@ -3041,6 +3183,7 @@ impl Sim {
         self.nodes[site]
             .locks
             .cancel_request_into(token, &mut woken);
+        self.obs_locks(site);
         self.wake(&woken);
         self.woken_scratch = woken;
     }
@@ -3075,6 +3218,7 @@ impl Sim {
             }
         };
         self.nodes[site].tm_busy = next;
+        self.obs_servers(site);
         if let Some(next) = next {
             // The waiter was parked at its AcquireTm op.
             let w = self.txs.get_mut(next).expect("queued tx exists");
@@ -3137,6 +3281,7 @@ impl Sim {
         } else {
             self.nodes[site].dm_free = self.nodes[site].dm_free.saturating_add(1);
         }
+        self.obs_servers(site);
     }
 
     /// Wakes transactions granted a lock by a release: they were parked at
@@ -3158,7 +3303,9 @@ impl Sim {
                 }
                 tx.pc += 1;
                 self.ready.push_back(id);
+                self.census_sync(id);
                 if self.tracer.is_some() {
+                    let tx = self.txs.get(id).expect("woken tx");
                     let (home, ty, gid) = (tx.home, tx.ty, tx.gid);
                     let lane = id.token() as u32;
                     if let Some(w) = waited {
@@ -3204,7 +3351,9 @@ impl Sim {
                     waited = Some(now - since);
                 }
                 self.ready.push_back(id);
+                self.census_sync(id);
                 if self.tracer.is_some() {
+                    let tx = self.txs.get(id).expect("woken tx");
                     let (home, ty, gid) = (tx.home, tx.ty, tx.gid);
                     let lane = id.token() as u32;
                     if let Some(w) = waited {
@@ -3425,6 +3574,7 @@ impl Sim {
                 );
             }
         }
+        self.census_sync(victim);
         self.start_abort_program(victim);
         self.ready.push_back(victim);
     }
@@ -3478,6 +3628,7 @@ impl Sim {
                     self.stats.lock_wait.record(self.sched.now() - since);
                 }
             }
+            self.census_sync(initiator);
             if self.tracer.is_some() {
                 let now = self.sched.now();
                 let (gid, ty) = {
@@ -3654,6 +3805,7 @@ impl Sim {
             // home. (In the coupled engine the hop prepended above moves
             // the transaction home for real instead.)
             tx.at_site = home;
+            self.census_sync(id);
         }
     }
 
@@ -3676,6 +3828,7 @@ impl Sim {
         if let Some(tx) = self.txs.get_mut(id) {
             tx.blocked_since = None;
         }
+        self.census_sync(id);
         self.start_abort_program(id);
     }
 
@@ -3712,7 +3865,8 @@ impl Sim {
     /// next submission (rollback already happened in `AbortSite` ops).
     fn finish(&mut self, id: TxId) {
         let now = self.sched.now();
-        let tx = self.txs.remove(id).expect("live tx");
+        let mut tx = self.txs.remove(id).expect("live tx");
+        self.census_drop(&mut tx);
         if !tx.aborting {
             let key = (tx.home, tx.ty);
             *self.stats.commits.entry(key).or_default() += 1;
@@ -3750,6 +3904,7 @@ impl Sim {
                 } else {
                     let alpha = self.cfg.params.comm_delay_ms;
                     self.xmsg_out += 1;
+                    self.obs_xmsg();
                     self.outbox.push((site, now + alpha, XMsg::DmRelease));
                 }
             }

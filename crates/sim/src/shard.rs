@@ -243,8 +243,8 @@ pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, 
 
     // Tracers and metrics recorders come out *before* the absorb pass,
     // in site order. Each LP recorded only its own site's events and
-    // samples (with true site indices), and both merges are part order +
-    // stable time sort, so the merged bytes are a pure function of the
+    // gauges (with true site indices), and both merges keep part order on
+    // time ties, so the merged bytes are a pure function of the
     // configuration.
     let tracer = tracing.then(|| {
         Tracer::merge_ordered(
@@ -347,13 +347,14 @@ fn run_lp_block(
                 msgs += 1;
             });
             let promise = if let Some(t) = trip {
+                lp.lp_close_metrics(Some(t), end);
                 trips[i] = Some(t);
                 retired[i] = true;
                 f64::INFINITY
             } else if lp.lp_next_time().min(horizon) > end {
                 // Retirement makes every boundary <= end final: unseen
                 // messages carry timestamps >= horizon > end.
-                lp.lp_finish_metrics(end);
+                lp.lp_close_metrics(None, end);
                 retired[i] = true;
                 f64::INFINITY
             } else {

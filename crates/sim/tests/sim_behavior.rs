@@ -145,3 +145,35 @@ fn alpha_delays_show_up_in_uncontended_distributed_response_times() {
         "expected ≈ +2 400 ms from α, got {added:.0} ({base:.0} → {slow:.0})"
     );
 }
+
+#[test]
+fn recorded_utilization_state_evaluates_like_the_station() {
+    // The metrics recorder keeps a copy of a station's busy-signal state
+    // and evaluates it at later sample boundaries; that evaluation must
+    // return the very bits the station's own accumulator would.
+    let mut busy = carat_des::TimeWeighted::new(0.0, 0.0);
+    let mut t = 0.0;
+    for i in 0..200u32 {
+        t += 0.37 * f64::from(i % 7) + 0.011;
+        if i == 50 {
+            busy.reset(t);
+        } else {
+            busy.set(t, f64::from(i % 2));
+        }
+        let (start, last_t, value, area) = busy.state();
+        let recorded = carat_obs::UtilState {
+            start,
+            last_t,
+            value,
+            area,
+        };
+        for later in [0.0, 0.001, 1.5, 10.0, 1e6] {
+            assert_eq!(
+                recorded.mean(t + later).to_bits(),
+                busy.mean(t + later).to_bits(),
+                "state {recorded:?} at t = {}",
+                t + later
+            );
+        }
+    }
+}
