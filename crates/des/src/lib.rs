@@ -12,8 +12,9 @@
 //!   built-in utilization / queue-length / completion statistics.
 //! * [`stats`] — time-weighted and sample statistics accumulators.
 //! * [`shard`] — conservative (lookahead-based) shard synchronization
-//!   primitives: site-to-shard maps, timestamped cross-shard channels, and
-//!   the safe-horizon clock rule used by the sharded simulator.
+//!   primitives: site-to-shard maps, timestamped cross-thread channels, the
+//!   atomic promise board, and the block bound rule used by the sharded
+//!   simulator.
 //!
 //! The kernel is event-oriented rather than process-oriented: the simulation
 //! owns all state and reacts to popped events; resources hand back "job
@@ -33,7 +34,7 @@ pub mod stats;
 pub use fcfs::{Fcfs, Started};
 pub use hash::{splitmix64, FastBuildHasher, FastMap, FastSet, FxHasher64};
 pub use scheduler::Scheduler;
-pub use shard::{HorizonClock, ShardChannel, SiteShardMap};
+pub use shard::{block_bound, PromiseBoard, ShardChannel, SiteShardMap};
 pub use stats::{Counter, Histogram, Tally, TimeWeighted};
 
 /// Simulated time in milliseconds.

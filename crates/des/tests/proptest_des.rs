@@ -141,15 +141,16 @@ proptest! {
     }
 }
 
-/// Abstract Chandy–Misra–Bryant execution over the real `HorizonClock` /
-/// `ShardChannel` machinery, used by the no-hang property below.
+/// Abstract Chandy–Misra–Bryant execution over the real `PromiseBoard` /
+/// `ShardChannel` machinery, one LP per thread, used by the no-hang
+/// property below.
 ///
 /// `n` logical processes each hold a sorted calendar of local events;
 /// processing anything (a local event at `t`, or a delivered message with
 /// remaining hops) sends one message to the next LP around the ring at
-/// `t + lookahead`. LPs advance *only* through `safe_horizon` — no global
+/// `t + lookahead`. LPs advance *only* through their horizon — no global
 /// knowledge — and publish the conservative promise
-/// `min(next local event, own safe horizon)`. Returns the number of full
+/// `min(next local event, own horizon)`. Returns the number of full
 /// sweeps and the number of delivered messages.
 fn conservative_ring(
     locals: &[Vec<f64>],
@@ -158,9 +159,9 @@ fn conservative_ring(
     sweep_order: &[usize],
     max_sweeps: usize,
 ) -> (usize, u64) {
-    use carat_des::shard::{HorizonClock, ShardChannel};
+    use carat_des::shard::{PromiseBoard, ShardChannel};
     let n = locals.len();
-    let mut clock = HorizonClock::new(n, lookahead);
+    let board = PromiseBoard::new(n, lookahead);
     let mut channels: Vec<ShardChannel<u8>> = (0..n * n).map(|_| ShardChannel::new()).collect();
     let mut pending: Vec<std::collections::VecDeque<f64>> = locals
         .iter()
@@ -175,7 +176,7 @@ fn conservative_ring(
         }
         sweeps += 1;
         for &i in sweep_order {
-            let h = clock.safe_horizon(i);
+            let h = board.horizon(i);
             // Work below the horizon: drained deliveries plus local
             // events, merged by time so per-channel sends stay
             // nondecreasing.
@@ -186,7 +187,7 @@ fn conservative_ring(
                 }
                 for (t, hops) in channels[from * n + i].drain_until(h) {
                     delivered += 1;
-                    assert!(t < h, "a delivery past the safe horizon");
+                    assert!(t < h, "a delivery past the horizon");
                     if hops > 0 {
                         work.push((t, hops - 1));
                     }
@@ -202,7 +203,7 @@ fn conservative_ring(
                 channels[i * n + next].send(t + lookahead, hops);
             }
             let next_local = pending[i].front().copied().unwrap_or(f64::INFINITY);
-            clock.advance(i, next_local.min(h));
+            board.publish(i, next_local.min(h));
         }
     }
 }
@@ -237,7 +238,7 @@ proptest! {
         }
         // Any sweep order must work; rotate to vary it across cases.
         let sweep_order: Vec<usize> = (0..n).map(|k| (k + rot) % n).collect();
-        // Every sweep advances the global minimum clock by >= lookahead,
+        // Every sweep advances the global minimum promise by >= lookahead,
         // so the sweep count is bounded by the virtual horizon over the
         // lookahead (generous slack for start-up and drain-out sweeps).
         // `conservative_ring` aborts past the bound instead of spinning.

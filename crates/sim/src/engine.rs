@@ -640,13 +640,19 @@ pub struct Sim {
     /// Inbound cross-LP messages not yet ingested, merged with the local
     /// future-event list by `(time, sender, seq)`.
     inbox: BinaryHeap<Reverse<InboxEntry>>,
-    /// Per-sender ingestion sequence numbers: channels are FIFO per
-    /// ordered pair, so numbering arrivals at ingestion reproduces the
-    /// sender's emission order no matter how drains batch them.
+    /// Per-sender ingestion sequence numbers: each sender's messages to
+    /// this LP arrive in emission order (handed over directly or through
+    /// one FIFO channel), so numbering arrivals at ingestion reproduces
+    /// that order no matter how the driver batches them.
     inbox_seqs: Vec<u64>,
+    /// The highest bound this LP has been stepped to: it has run every
+    /// event below it, so a message still to arrive must be timestamped
+    /// at or above it.
+    lp_bound: Time,
     /// Outbound cross-LP messages produced by the current step, as
-    /// `(destination site, delivery time, payload)`. The driver flushes
-    /// them into the channels after each step slice.
+    /// `(destination site, delivery time, payload)`. The driver routes
+    /// them after each step: straight into a sibling LP on its own
+    /// thread, or into a channel to another thread.
     outbox: Vec<(usize, Time, XMsg)>,
     /// gid → local slab id of every resident or ghost transaction, for
     /// resolving gid-addressed messages (probes target transactions this
@@ -792,6 +798,7 @@ impl Sim {
             gid_stride: 1,
             inbox: BinaryHeap::new(),
             inbox_seqs: vec![0; sites],
+            lp_bound: 0.0,
             outbox: Vec::new(),
             gid_index: BTreeMap::new(),
             absorbed_live: 0,

@@ -12,12 +12,12 @@ use super::{Ev, Sim, Txn};
 use crate::config::{SimConfig, SimConfigError};
 use crate::slab::TxId;
 
-/// A cross-LP message of the coupled engine: the payload of a
-/// [`carat_des::shard::ShardChannel`] entry between two site-level logical
-/// processes. Everything that crosses a site boundary in an eligible
-/// configuration is one of these three, all with delivery time
-/// `send time + α` (the network delay, which is the conservative
-/// lookahead).
+/// A cross-LP message of the coupled engine, between two site-level
+/// logical processes: handed straight to the receiver when both run on
+/// one thread, carried by a [`carat_des::shard::ShardChannel`] otherwise.
+/// Everything that crosses a site boundary in an eligible configuration
+/// is one of these three, all with delivery time `send time + α` (the
+/// network delay, which is the conservative lookahead).
 pub(crate) enum XMsg {
     /// A transaction's control flow migrates to the receiving site (the
     /// `Op::Net` hop). The full transaction state ships; the sender keeps
@@ -109,8 +109,8 @@ impl Sim {
     }
 
     /// Earliest unprocessed work on this LP (local calendar or ingested
-    /// inbox); `+∞` when idle. The LP promises peers it will send nothing
-    /// earlier than `min(this, horizon) + α`.
+    /// inbox); `+∞` when idle. The driver's bounds and promises are built
+    /// from it.
     pub(crate) fn lp_next_time(&self) -> Time {
         let local = self.sched.peek_time().unwrap_or(f64::INFINITY);
         let inbox = self
@@ -121,17 +121,23 @@ impl Sim {
         local.min(inbox)
     }
 
-    /// Events processed so far (budget accounting + driver telemetry).
-    pub(crate) fn lp_events(&self) -> u64 {
-        self.events
-    }
-
     /// Queues an inbound cross-LP message for ingestion. Arrivals are
-    /// numbered per sender: each channel is FIFO with nondecreasing
-    /// timestamps, so the `(time, sender, seq)` ingestion order equals the
-    /// sender's emission order no matter how the horizon rounds batch the
-    /// drains — the merge is independent of the shard layout.
+    /// numbered per sender: each sender's messages arrive in emission
+    /// order with nondecreasing timestamps, so the `(time, sender, seq)`
+    /// ingestion order is the same however the driver batches them — the
+    /// merge is independent of the shard layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a straggler: a message timestamped below the bound this
+    /// LP has already run to, which the conservative protocol rules out.
+    /// Running it late would silently break the event order.
     pub(crate) fn lp_ingest(&mut self, from: usize, t: Time, msg: XMsg) {
+        assert!(
+            t >= self.lp_bound,
+            "straggler: message from site {from} at t={t} below the bound {} this LP ran to",
+            self.lp_bound
+        );
         let seq = self.inbox_seqs[from];
         self.inbox_seqs[from] = seq + 1;
         self.inbox.push(Reverse(InboxEntry {
@@ -143,21 +149,19 @@ impl Sim {
     }
 
     /// Hands this step's outbound messages to the driver in emission
-    /// order.
-    pub(crate) fn lp_drain_outbox(&mut self, mut sink: impl FnMut(usize, Time, XMsg)) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for (to, t, msg) in outbox.drain(..) {
-            sink(to, t, msg);
-        }
-        self.outbox = outbox;
+    /// order: swaps them into `buf`, which must be empty.
+    pub(crate) fn lp_take_outbox(&mut self, buf: &mut Vec<(usize, Time, XMsg)>) {
+        debug_assert!(buf.is_empty(), "the previous outbox was not routed");
+        std::mem::swap(&mut self.outbox, buf);
     }
 
     /// Runs the merged event stream (local calendar + inbox) strictly
-    /// below `horizon` and no later than `end`. On a timestamp tie the
+    /// below `bound` and no later than `end`. On a timestamp tie the
     /// inbox goes first — fixed once, so every shard layout merges the two
     /// streams identically. Returns `Some(t)` when the event budget trips
     /// at `t`; the driver then freezes this LP.
-    pub(crate) fn lp_step_until(&mut self, horizon: Time, end: Time) -> Option<Time> {
+    pub(crate) fn lp_step_until(&mut self, bound: Time, end: Time) -> Option<Time> {
+        self.lp_bound = self.lp_bound.max(bound);
         let budget = self.cfg.max_events;
         loop {
             let local = self.sched.peek_time().unwrap_or(f64::INFINITY);
@@ -167,7 +171,7 @@ impl Sim {
                 .map(|Reverse(e)| e.time())
                 .unwrap_or(f64::INFINITY);
             let t = local.min(inbox);
-            if t >= horizon || t > end {
+            if t >= bound || t > end {
                 return None;
             }
             if budget != 0 && self.events >= budget {
@@ -524,7 +528,7 @@ impl Sim {
     }
 
     /// Closes this LP's recorder when it retires: through `end` after a
-    /// normal run — the retirement condition (`min(next, horizon) > end`)
+    /// normal run — the retirement condition (`min(next, bound) > end`)
     /// guarantees no further event at or below `end` will ever run here —
     /// or strictly below `trip` when its event budget tripped there.
     pub(crate) fn lp_close_metrics(&mut self, trip: Option<Time>, end: Time) {
@@ -541,5 +545,27 @@ impl Sim {
     /// [`Self::take_tracer`]).
     pub(crate) fn take_metrics(&mut self) -> Option<MetricsRecorder> {
         self.metrics.take().map(|b| *b)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DeadlockMode;
+    use carat_workload::{StandardWorkload, SystemParams};
+
+    #[test]
+    #[should_panic(expected = "straggler")]
+    fn a_message_below_the_bound_an_lp_ran_to_panics() {
+        let mut cfg = SimConfig::new(StandardWorkload::Mb4.spec(2), 8, 7);
+        cfg.params = SystemParams::with_sites(2);
+        cfg.params.comm_delay_ms = 5.0;
+        cfg.deadlock_mode = DeadlockMode::Probes;
+        let mut lp = Sim::new_lp(cfg, 1).expect("valid");
+        lp.lp_prime();
+        assert_eq!(lp.lp_step_until(100.0, 1_000.0), None);
+        // At the bound is fine; below it is a straggler.
+        lp.lp_ingest(0, 100.0, XMsg::DmRelease);
+        lp.lp_ingest(0, 99.0, XMsg::DmRelease);
     }
 }

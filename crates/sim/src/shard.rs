@@ -1,7 +1,8 @@
 //! The site-sharded engine: one run as one `Sim` *logical process* (LP)
-//! per site, swept by `SimConfig::shards` worker threads and synchronized
-//! conservatively through the `carat_des::shard` horizon machinery. One
-//! driver serves every sharded configuration; only the lookahead differs.
+//! per site, split into contiguous blocks of sites, one block per worker
+//! thread (`SimConfig::shards` threads), and synchronized conservatively
+//! through the `carat_des::shard` primitives. One driver serves every
+//! sharded configuration; only the lookahead differs.
 //!
 //! ## Lookahead
 //!
@@ -9,30 +10,37 @@
 //! owned site's events and holds only that site's storage (peer nodes get
 //! an empty database). Every cross-site interaction — a transaction's
 //! `Op::Net` hop, a Chandy–Misra–Haas probe, a remote DM release —
-//! travels as a timestamped `XMsg` through a [`ShardChannel`], and each LP
-//! may safely process events strictly below its
-//! [`HorizonClock::safe_horizon`] (min peer clock + lookahead).
+//! travels as a timestamped `XMsg`: straight into the receiver's inbox
+//! when both LPs run on one thread, through a [`ShardChannel`] otherwise.
 //!
 //! * *Site-separable* configurations ([`decomposable`]: every user is
 //!   local-only, so programs compile to zero `Net` ops and never register
 //!   remote slaves) never send a message. Their lookahead is `+∞`: every
-//!   safe horizon is `+∞`, each LP runs to the window end in one round,
-//!   and the channels stay empty.
+//!   bound is `+∞`, each LP runs to the window end in one step, and no
+//!   message is ever sent.
 //! * *Coupled* configurations ([`coupled_eligible`]: some DRO/DU user and a
 //!   positive network delay α) pay exactly one network delay per
-//!   cross-site effect, so α is a hard lookahead: an LP whose published
-//!   clock reads `c` cannot emit anything timestamped below `c + α`.
+//!   cross-site effect, so α is a hard lookahead: an LP handling an event
+//!   at `t` cannot emit anything timestamped below `t + α`.
 //!
-//! The published clock is the Chandy–Misra–Bryant promise
-//! `min(next unprocessed event, own safe horizon)`; re-publishing after
-//! an eventless round is the demand-driven *null message* that keeps
-//! peers' horizons opening (counted in `carat_obs::shardstats`, never in
-//! the report). Progress is deadlock-free: the LP holding the global
-//! minimum clock always sees `next < horizon`, so every sweep of the LPs
-//! advances the global minimum by at least the lookahead. An LP retires —
-//! publishing `+∞` — once `min(next, horizon) > warmup + measure`, or when
-//! its event budget trips (its already-emitted messages are still
-//! delivered, so the trip point is schedule-independent).
+//! ## One event-ordered loop per thread
+//!
+//! Each thread keeps its LPs' next event times and always steps the LP
+//! `i` with the earliest one, through every event strictly below its
+//! [`block_bound`]
+//! `H_i = min(H_ext, min over its other live LPs j of next_j + α, next_i + 2α)`.
+//! `H_ext` is the thread's external horizon on the [`PromiseBoard`]: the
+//! other threads' minimum promise plus α. The thread's own promise is
+//! `min over its live LPs of min(next_i, H_ext)`, published after the
+//! messages of its last step are routed; a publication that raises the
+//! promise without an event having run is the demand-driven Chandy–
+//! Misra–Bryant *null message* (counted in `carat_obs::shardstats`,
+//! never in the report). Progress is deadlock-free: the thread holding
+//! the minimum promise always has its earliest LP strictly below its
+//! bound. A thread with nothing below any bound waits for a foreign
+//! promise to rise. An LP retires once `min(next_i, H_i) > warmup +
+//! measure`, or when its event budget trips (its already-emitted messages
+//! are still delivered, so the trip point is schedule-independent).
 //!
 //! Crashes, faults, partitions, and replication force the monolithic
 //! loop: their cross-site effects (instant failover, zero-delay timeout
@@ -46,8 +54,8 @@
 //! (local calendar ∪ inbox, inbox first on timestamp ties, inbox ordered
 //! by `(time, sender, per-sender seq)`) is a pure function of the
 //! configuration, because a message not yet visible when an LP computes
-//! horizon `H` is guaranteed to carry a timestamp ≥ H. The shard count
-//! only chooses how many worker threads sweep the (fixed) per-site LPs —
+//! bound `H` is guaranteed to carry a timestamp ≥ H. The shard count
+//! only chooses how many worker threads run the (fixed) per-site LPs —
 //! including `--shards 1`, which runs the identical algorithm on one
 //! thread. The LPs fold into one in site order (`Sim::absorb`) and wind
 //! down once, so the report — including trace output, metrics, and
@@ -58,10 +66,12 @@
 //! `sched_heap_hwm` / `slab_hwm` / `slab_slots_hwm` are per-LP high-water
 //! marks merged by *max* (a global heap never existed).
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use carat_des::shard::{HorizonClock, ShardChannel, SiteShardMap};
+use carat_des::shard::{block_bound, PromiseBoard, ShardChannel, SiteShardMap};
 use carat_des::{splitmix64, Time};
 use carat_obs::{shardstats, MetricsRecorder, Tracer};
 
@@ -171,11 +181,11 @@ type RunOutput = (SimReport, Option<Tracer>, Option<MetricsRecorder>);
 /// end).
 type LpOutcome = (usize, Sim, Option<Time>);
 
-/// Runs a sharded configuration as one logical process per site,
-/// synchronized conservatively through [`HorizonClock`] /
-/// [`ShardChannel`] with `lookahead`, on `cfg.shards` worker threads
-/// (clamped to the site count). The caller (`Sim::run_checked_instrumented`)
-/// has already validated `cfg` and taken `lookahead` from [`lookahead`].
+/// Runs a sharded configuration as one logical process per site, on
+/// `cfg.shards` worker threads (clamped to the site count) that each run
+/// one contiguous block of sites, with `lookahead`. The caller
+/// (`Sim::run_checked_instrumented`) has already validated `cfg` and
+/// taken `lookahead` from [`lookahead`].
 pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, SimError> {
     let sites = cfg.params.sites();
     let shards = cfg.shards.min(sites).max(1);
@@ -184,48 +194,30 @@ pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, 
     let tracing = cfg.trace.is_some();
     let metrics_on = cfg.metrics.is_some();
     let shares = budget_shares(budget, sites);
+    let build = |site: usize| {
+        let mut sub = cfg.clone();
+        sub.max_events = shares[site];
+        sub.shards = 1;
+        let mut lp = Sim::new_lp(sub, site).expect("an LP of a validated config is valid");
+        lp.lp_prime();
+        (site, lp)
+    };
+    let links = Links::new(SiteShardMap::contiguous(sites, shards), lookahead);
 
-    let mut lps: Vec<(usize, Sim)> = (0..sites)
-        .map(|s| {
-            let mut sub = cfg.clone();
-            sub.max_events = shares[s];
-            sub.shards = 1;
-            let mut lp = Sim::new_lp(sub, s).expect("an LP of a validated config is valid");
-            lp.lp_prime();
-            (s, lp)
-        })
-        .collect();
-
-    // The shared synchronization state: the clock board (one published
-    // promise per LP) and one FIFO channel per ordered (from, to) pair.
-    // Both are mutex-guarded; the locks also provide the happens-before
-    // edges the completeness argument in the module docs relies on (a
-    // sender flushes its channel entries *before* publishing the clock
-    // that makes them drainable).
-    let clock = Mutex::new(HorizonClock::new(sites, lookahead));
-    let channels: Vec<Mutex<ShardChannel<XMsg>>> = (0..sites * sites)
-        .map(|_| Mutex::new(ShardChannel::new()))
-        .collect();
-
-    let mut outcomes: Vec<LpOutcome> = if shards == 1 {
-        run_lp_block(lps, &clock, &channels, sites, end)
+    // Each worker builds its own block, so the LPs' storage loads run in
+    // parallel. Blocks are contiguous and joined in order, so the
+    // outcomes come back in site order.
+    let outcomes: Vec<LpOutcome> = if shards == 1 {
+        run_block(&links, 0, (0..sites).map(build).collect(), end)
     } else {
-        // Balanced contiguous blocks, one worker thread each; every
-        // thread sweeps its own LPs round-robin against the shared
-        // clock board.
-        let map = SiteShardMap::contiguous(sites, shards);
-        let mut blocks: Vec<Vec<(usize, Sim)>> = Vec::with_capacity(shards);
-        let mut it = lps.drain(..);
-        for s in 0..shards {
-            blocks.push(it.by_ref().take(map.sites_of(s).len()).collect());
-        }
-        drop(it);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .into_iter()
-                .map(|block| {
-                    let (clock, channels) = (&clock, &channels);
-                    scope.spawn(move || run_lp_block(block, clock, channels, sites, end))
+            let handles: Vec<_> = (0..shards)
+                .map(|thread| {
+                    let (links, build) = (&links, &build);
+                    scope.spawn(move || {
+                        let block = links.map.sites_of(thread).map(build).collect();
+                        run_block(links, thread, block, end)
+                    })
                 })
                 .collect();
             handles
@@ -234,8 +226,18 @@ pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, 
                 .collect()
         })
     };
-    outcomes.sort_by_key(|&(site, _, _)| site);
+    debug_assert!(outcomes.iter().enumerate().all(|(i, o)| o.0 == i));
+    merge(outcomes, budget, end, tracing, metrics_on)
+}
 
+/// Folds the per-site outcomes (in site order) into one run's output.
+fn merge(
+    mut outcomes: Vec<LpOutcome>,
+    budget: u64,
+    end: Time,
+    tracing: bool,
+    metrics_on: bool,
+) -> Result<RunOutput, SimError> {
     let first_trip = outcomes
         .iter()
         .filter_map(|(_, _, trip)| *trip)
@@ -285,130 +287,176 @@ pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, 
     Ok((report, tracer, metrics))
 }
 
-/// Sweeps one worker thread's LPs until all have retired. Each round per
-/// live LP: read the safe horizon, drain inbound channels below it (in
-/// sender order), run the merged stream up to the horizon, flush the
-/// outbox, publish the new clock promise. Wall-clock busy/stall time,
-/// null advances, and message counts go to the process-global
-/// `shardstats` registry — never into the `Sim`s.
-fn run_lp_block(
-    block: Vec<(usize, Sim)>,
-    clock: &Mutex<HorizonClock>,
-    channels: &[Mutex<ShardChannel<XMsg>>],
-    sites: usize,
-    end: Time,
-) -> Vec<LpOutcome> {
-    let mut lps = block;
-    let n = lps.len();
-    let mut retired = vec![false; n];
-    let mut trips: Vec<Option<Time>> = vec![None; n];
-    let (mut busy_ns, mut stall_ns) = (0u64, 0u64);
-    let (mut nulls, mut msgs) = (0u64, 0u64);
-    // Progress guard: if the *global* minimum clock stops advancing for a
-    // long stretch of fruitless sweeps, the protocol is wedged (which the
-    // lookahead argument proves impossible) — fail loudly instead of
-    // spinning forever.
-    let mut last_min = -1.0f64;
-    let mut stuck_since: Option<Instant> = None;
+/// What a run's worker threads share: the promise board, one channel per
+/// ordered pair of sites (only pairs on different threads carry
+/// anything), and per destination site the number of channel messages it
+/// has not drained yet.
+struct Links {
+    map: SiteShardMap,
+    board: PromiseBoard,
+    channels: Vec<Mutex<ShardChannel<XMsg>>>,
+    pending: Vec<AtomicUsize>,
+}
 
-    while retired.iter().any(|r| !r) {
-        let mut progressed = false;
-        for i in 0..n {
-            if retired[i] {
-                continue;
-            }
-            let site = lps[i].0;
-            let lp = &mut lps[i].1;
-            let round_start = Instant::now();
-            let horizon = clock.lock().expect("clock lock").safe_horizon(site);
-            for from in 0..sites {
-                if from == site {
-                    continue;
-                }
-                let arrived = channels[from * sites + site]
-                    .lock()
-                    .expect("channel lock")
-                    .drain_until(horizon);
-                for (t, msg) in arrived {
-                    lp.lp_ingest(from, t, msg);
-                }
-            }
-            let before = lp.lp_events();
-            let trip = lp.lp_step_until(horizon, end);
-            let stepped = lp.lp_events() - before;
-            // Flush even on a trip: everything emitted before the budget
-            // ran out must still reach its peers, or their streams would
-            // depend on *when* the trip was noticed.
-            lp.lp_drain_outbox(|to, t, msg| {
-                channels[site * sites + to]
-                    .lock()
-                    .expect("channel lock")
-                    .send(t, msg);
-                msgs += 1;
-            });
-            let promise = if let Some(t) = trip {
-                lp.lp_close_metrics(Some(t), end);
-                trips[i] = Some(t);
-                retired[i] = true;
-                f64::INFINITY
-            } else if lp.lp_next_time().min(horizon) > end {
-                // Retirement makes every boundary <= end final: unseen
-                // messages carry timestamps >= horizon > end.
-                lp.lp_close_metrics(None, end);
-                retired[i] = true;
-                f64::INFINITY
-            } else {
-                lp.lp_next_time().min(horizon)
-            };
-            {
-                let mut board = clock.lock().expect("clock lock");
-                if promise > board.clock(site) {
-                    progressed = true;
-                    if stepped == 0 && !retired[i] {
-                        // An eventless promise that still opened peers'
-                        // horizons: the demand-driven null message.
-                        nulls += 1;
-                    }
-                }
-                board.advance(site, promise);
-            }
-            let spent = round_start.elapsed().as_nanos() as u64;
-            if stepped > 0 {
-                progressed = true;
-                busy_ns += spent;
-            } else {
-                stall_ns += spent;
-            }
-        }
-        if progressed {
-            stuck_since = None;
-        } else {
-            let min_clock = {
-                let board = clock.lock().expect("clock lock");
-                (0..sites)
-                    .map(|s| board.clock(s))
-                    .fold(f64::INFINITY, f64::min)
-            };
-            if min_clock > last_min {
-                last_min = min_clock;
-                stuck_since = None;
-            } else if stuck_since
-                .get_or_insert_with(Instant::now)
-                .elapsed()
-                .as_secs()
-                >= 60
-            {
-                panic!(
-                    "coupled shard driver: no global clock progress for 60s \
-                     (min clock {min_clock} ms, end {end} ms) — conservative \
-                     protocol wedged"
-                );
-            }
-            std::thread::yield_now();
+impl Links {
+    fn new(map: SiteShardMap, lookahead: Time) -> Self {
+        let sites = map.sites();
+        Links {
+            board: PromiseBoard::new(map.shards(), lookahead),
+            channels: (0..sites * sites)
+                .map(|_| Mutex::new(ShardChannel::new()))
+                .collect(),
+            pending: (0..sites).map(|_| AtomicUsize::new(0)).collect(),
+            map,
         }
     }
 
-    shardstats::add_busy_ns(busy_ns);
+    /// Sends `msg` from site `from` to site `to` on another thread. The
+    /// pending count rises under the channel's lock, so the receiver,
+    /// which lowers it under the same lock, never sees it negative.
+    fn send(&self, from: usize, to: usize, t: Time, msg: XMsg) {
+        let sites = self.map.sites();
+        let mut channel = self.channels[from * sites + to]
+            .lock()
+            .expect("channel lock");
+        channel.send(t, msg);
+        self.pending[to].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Moves every channel message waiting for `site` into its LP's
+    /// inbox, sender by sender; one load when nothing waits. The sender
+    /// counted a message before publishing the promise that lets the
+    /// receiver run past it, and the receiver reads the board first, so
+    /// the count it sees covers every message below its bounds.
+    fn drain_into(&self, site: usize, lp: &mut Sim, block: &Range<usize>) {
+        if self.pending[site].load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let sites = self.map.sites();
+        for from in (0..sites).filter(|from| !block.contains(from)) {
+            let arrived = {
+                let mut channel = self.channels[from * sites + site]
+                    .lock()
+                    .expect("channel lock");
+                let arrived = channel.drain_until(Time::INFINITY);
+                self.pending[site].fetch_sub(arrived.len(), Ordering::Relaxed);
+                arrived
+            };
+            for (t, msg) in arrived {
+                lp.lp_ingest(from, t, msg);
+            }
+        }
+    }
+}
+
+/// Spin iterations before a waiting thread starts yielding its core.
+const SPINS: u32 = 256;
+
+/// Runs one worker thread's event-ordered loop over its block of LPs (see
+/// the module docs) until every LP has retired. Each iteration drains
+/// arrived channel messages, publishes the thread's promise, retires the
+/// LPs that are done, and steps the LP with the earliest next event
+/// through its bound — or, with nothing below any bound, waits for a
+/// foreign promise to rise. Wall-clock busy and stall time, null
+/// advances and message counts go to the process-global `shardstats`
+/// registry, never into the `Sim`s.
+fn run_block(
+    links: &Links,
+    thread: usize,
+    mut lps: Vec<(usize, Sim)>,
+    end: Time,
+) -> Vec<LpOutcome> {
+    let alpha = links.board.lookahead();
+    let block = links.map.sites_of(thread);
+    let n = lps.len();
+    let mut live = vec![true; n];
+    let mut n_live = n;
+    let mut trips: Vec<Option<Time>> = vec![None; n];
+    let mut next = vec![Time::INFINITY; n];
+    let mut outbox = Vec::new();
+    let (mut stall_ns, mut nulls, mut msgs) = (0u64, 0u64, 0u64);
+    let started = Instant::now();
+
+    while n_live > 0 {
+        let h_ext = links.board.horizon(thread);
+        // The earliest next event (LP `first`) and the second earliest.
+        let (mut m1, mut first, mut m2) = (Time::INFINITY, usize::MAX, Time::INFINITY);
+        for k in (0..n).filter(|&k| live[k]) {
+            let (site, lp) = &mut lps[k];
+            links.drain_into(*site, lp, &block);
+            next[k] = lp.lp_next_time();
+            if next[k] < m1 {
+                (m2, m1, first) = (m1, next[k], k);
+            } else if next[k] < m2 {
+                m2 = next[k];
+            }
+        }
+
+        // Retire every LP that can never again run an event at or before
+        // `end`; only possible once both H_ext and m1 + α are past it.
+        if h_ext.min(m1 + alpha) > end {
+            let mut retired = false;
+            for k in 0..n {
+                let others = if k == first { m2 } else { m1 };
+                if live[k] && next[k].min(block_bound(h_ext, next[k], others, alpha)) > end {
+                    // Every event at or before `end` has run here, and
+                    // every message still to come is later.
+                    lps[k].1.lp_close_metrics(None, end);
+                    live[k] = false;
+                    n_live -= 1;
+                    retired = true;
+                }
+            }
+            if retired {
+                continue;
+            }
+        }
+
+        let bound = block_bound(h_ext, m1, m2, alpha);
+        if m1 < bound {
+            let (site, lp) = &mut lps[first];
+            let site = *site;
+            let trip = lp.lp_step_until(bound, end);
+            // Route even on a trip: everything emitted before the budget
+            // ran out must still reach its peers, or their streams would
+            // depend on *when* the trip was noticed.
+            lp.lp_take_outbox(&mut outbox);
+            if let Some(t) = trip {
+                lp.lp_close_metrics(Some(t), end);
+                trips[first] = Some(t);
+                live[first] = false;
+                n_live -= 1;
+            }
+            next[first] = if live[first] {
+                lp.lp_next_time()
+            } else {
+                Time::INFINITY
+            };
+            msgs += outbox.len() as u64;
+            for (to, t, msg) in outbox.drain(..) {
+                if block.contains(&to) {
+                    let k = to - block.start;
+                    lps[k].1.lp_ingest(site, t, msg);
+                    next[k] = next[k].min(t);
+                } else {
+                    links.send(site, to, t, msg);
+                }
+            }
+            let promise = (0..n)
+                .filter(|&k| live[k])
+                .map(|k| next[k])
+                .fold(h_ext, Time::min);
+            links.board.publish(thread, promise);
+        } else {
+            // A raised promise that ran no event is a null message.
+            nulls += u64::from(links.board.publish(thread, m1.min(h_ext)));
+            stall_ns += wait_for_rise(&links.board, thread, h_ext, end);
+        }
+    }
+    links.board.publish(thread, Time::INFINITY);
+
+    let total_ns = started.elapsed().as_nanos() as u64;
+    shardstats::add_busy_ns(total_ns.saturating_sub(stall_ns));
     shardstats::add_stall_ns(stall_ns);
     shardstats::add_null_advances(nulls);
     shardstats::add_messages(msgs);
@@ -416,6 +464,36 @@ fn run_lp_block(
         .zip(trips)
         .map(|((site, lp), trip)| (site, lp, trip))
         .collect()
+}
+
+/// Waits until `thread`'s external horizon rises above `seen`: spins
+/// briefly, then yields, so a run with more threads than cores still
+/// lets the thread it waits for run. Returns the nanoseconds waited.
+///
+/// # Panics
+///
+/// After 60 s without a rise. The lookahead argument (module docs) makes
+/// that impossible, so a wedged protocol fails loudly instead of
+/// spinning forever.
+fn wait_for_rise(board: &PromiseBoard, thread: usize, seen: Time, end: Time) -> u64 {
+    let start = Instant::now();
+    let mut spins = 0;
+    while board.horizon(thread) <= seen {
+        if spins < SPINS {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+            if start.elapsed().as_secs() >= 60 {
+                panic!(
+                    "coupled shard driver: no foreign promise rose for 60s \
+                     (horizon {seen} ms, end {end} ms) — conservative \
+                     protocol wedged"
+                );
+            }
+        }
+    }
+    start.elapsed().as_nanos() as u64
 }
 
 #[cfg(test)]
