@@ -32,17 +32,20 @@ cargo run --release -p carat-bench --bin exp -- bench --emit-sim --sequential --
 cmp "${TMPDIR:-/tmp}/sim_par.json" "${TMPDIR:-/tmp}/sim_seq.json"
 # Shard determinism: the per-site conservative engine must produce
 # byte-identical reports for every worker-thread count (DESIGN.md §14:
-# shards is purely a parallelism knob). $1 names the gate and its scratch
-# files; the remaining arguments are the `carat-cli sim` flags.
+# shards is purely a parallelism knob). With 8 sites, 3 threads give
+# uneven blocks (3+3+2) and 8 give one LP per thread, so one-block and
+# all-cross-thread layouts are both compared. $1 names the gate and its
+# scratch files; the remaining arguments are the `carat-cli sim` flags.
 shard_gate() {
   name=$1
   shift
   echo "== $name determinism gate"
-  for k in 1 2 4; do
+  for k in 1 2 3 4 8; do
     cargo run --release -p carat-cli -- sim "$@" --shards "$k" > "${TMPDIR:-/tmp}/${name}_$k.txt"
   done
-  cmp "${TMPDIR:-/tmp}/${name}_1.txt" "${TMPDIR:-/tmp}/${name}_2.txt"
-  cmp "${TMPDIR:-/tmp}/${name}_1.txt" "${TMPDIR:-/tmp}/${name}_4.txt"
+  for k in 2 3 4 8; do
+    cmp "${TMPDIR:-/tmp}/${name}_1.txt" "${TMPDIR:-/tmp}/${name}_$k.txt"
+  done
 }
 # Site-separable LB8 (lookahead ∞, no messages).
 shard_gate shard --workload lb8 --sites 8 --n 8 --measure-s 60

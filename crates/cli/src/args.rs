@@ -91,9 +91,8 @@ pub struct RunSpec {
     /// alternate the Table 2 disk speeds across sites.
     pub sites: usize,
     /// Worker threads for the site-sharded simulator engine (simulator
-    /// only; `None` falls back to `CARAT_SHARDS`, then 1). Reports are
-    /// byte-identical for every value.
-    pub shards: Option<usize>,
+    /// only; default 1). Reports are byte-identical for every value.
+    pub shards: usize,
 }
 
 impl Default for RunSpec {
@@ -126,7 +125,7 @@ impl Default for RunSpec {
             metrics_out: None,
             iter_log: None,
             sites: 2,
-            shards: None,
+            shards: 1,
         }
     }
 }
@@ -148,19 +147,6 @@ impl RunSpec {
             ..SystemParams::with_sites(self.sites)
         }
     }
-
-    /// Effective simulator shard count: `--shards`, else the
-    /// `CARAT_SHARDS` environment variable, else 1.
-    pub fn effective_shards(&self) -> usize {
-        self.shards
-            .or_else(|| {
-                std::env::var("CARAT_SHARDS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1)
-            .max(1)
-    }
 }
 
 /// Usage text.
@@ -180,9 +166,8 @@ FLAGS:
                                    conservative engine, which runs
                                    site-separable configs and cross-site
                                    ones with --alpha > 0 (and --probes
-                                   under 2PL) (default $CARAT_SHARDS,
-                                   else 1; reports are byte-identical for
-                                   every k)
+                                   under 2PL) (default 1; reports are
+                                   byte-identical for every k)
     --seed <u64>                   simulator RNG seed (default 7)
     --measure-s <secs>             simulated measurement window (default 300)
     --alpha <ms>                   communication delay α (default 0)
@@ -337,12 +322,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .max(1)
             }
             "--shards" => {
-                spec.shards = Some(
-                    next(&mut i)?
-                        .parse::<usize>()
-                        .map_err(|_| "bad shards".to_string())?
-                        .max(1),
-                )
+                spec.shards = next(&mut i)?
+                    .parse::<usize>()
+                    .map_err(|_| "bad shards".to_string())?
+                    .max(1)
             }
             "--seed" => spec.seed = next(&mut i)?.parse().map_err(|_| "bad seed".to_string())?,
             "--measure-s" => {
@@ -744,17 +727,22 @@ mod tests {
             panic!()
         };
         assert_eq!(spec.sites, 8);
-        assert_eq!(spec.shards, Some(4));
-        // Defaults: the testbed pair, one worker thread.
+        assert_eq!(spec.shards, 4);
+        // Defaults: the testbed pair, one worker thread. The environment
+        // plays no part: only `--shards` sets the thread count.
         let d = RunSpec::default();
         assert_eq!(d.sites, 2);
-        assert_eq!(d.shards, None);
+        assert_eq!(d.shards, 1);
+        let Command::Sim(spec) = parse(&argv("sim --sites 8")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(spec.shards, 1);
         // Zero clamps rather than erroring, matching --threads.
         let Command::Sim(spec) = parse(&argv("sim --sites 0 --shards 0")).unwrap() else {
             panic!()
         };
         assert_eq!(spec.sites, 1);
-        assert_eq!(spec.shards, Some(1));
+        assert_eq!(spec.shards, 1);
         assert!(parse(&argv("sim --sites many")).is_err());
         assert!(parse(&argv("sim --shards many")).is_err());
         // --sites 2 keeps the default parameter set byte-for-byte.

@@ -137,7 +137,7 @@ fn run_model(spec: &RunSpec, n: u32, warm: &mut Warm, log: Option<&mut IterLog>)
 fn sim_cfg(spec: &RunSpec, n: u32) -> SimConfig {
     let mut cfg = SimConfig::new(spec.workload.spec(spec.sites), n, spec.seed);
     cfg.params = spec.params();
-    cfg.shards = spec.effective_shards();
+    cfg.shards = spec.shards;
     cfg.warmup_ms = (spec.measure_s * 1000.0 * 0.1).max(5_000.0);
     cfg.measure_ms = spec.measure_s * 1000.0;
     cfg.separate_log_disk = spec.separate_log;

@@ -7,9 +7,9 @@
 //! Scheduling telemetry therefore lives *outside* the report, in this
 //! process-global registry of relaxed atomics. The driver bumps them from
 //! worker threads; tools (`carat-cli`, `exp bench`) snapshot them after a
-//! run to surface busy/stall ratios, null-message (demand-driven clock
-//! publication) counts, cross-shard message volume, and silent
-//! monolithic fallbacks.
+//! run to surface busy/stall ratios, null-message (demand-driven promise
+//! publication) counts, cross-site message volume, and silent monolithic
+//! fallbacks.
 //!
 //! Relaxed ordering is deliberate: these are statistical counters with no
 //! cross-thread happens-before obligations, and the snapshot is only read
@@ -23,23 +23,27 @@ static NULL_ADVANCES: AtomicU64 = AtomicU64::new(0);
 static MESSAGES: AtomicU64 = AtomicU64::new(0);
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// Wall-clock nanoseconds shards spent executing events.
+/// Wall-clock nanoseconds shard threads spent running their loops outside
+/// waits.
 pub fn add_busy_ns(ns: u64) {
     BUSY_NS.fetch_add(ns, Relaxed);
 }
 
-/// Wall-clock nanoseconds shards spent blocked on peers' horizons.
+/// Wall-clock nanoseconds shard threads spent waiting for a peer's
+/// promise to rise.
 pub fn add_stall_ns(ns: u64) {
     STALL_NS.fetch_add(ns, Relaxed);
 }
 
-/// Demand-driven null messages: clock publications that carried no event,
-/// only a promise (the CMB deadlock-avoidance step).
+/// Demand-driven null messages: promise publications that raised a
+/// thread's promise while it ran no event, just before it waited (the CMB
+/// deadlock-avoidance step).
 pub fn add_null_advances(n: u64) {
     NULL_ADVANCES.fetch_add(n, Relaxed);
 }
 
-/// Cross-shard simulation messages routed through `ShardChannel`s.
+/// Cross-site simulation messages between logical processes, whether
+/// handed over within a thread or through a `ShardChannel`.
 pub fn add_messages(n: u64) {
     MESSAGES.fetch_add(n, Relaxed);
 }
@@ -53,20 +57,20 @@ pub fn note_fallback() {
 /// A point-in-time copy of the shard telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStatsSnapshot {
-    /// Nanoseconds spent executing events across all shard threads.
+    /// Nanoseconds shard threads spent outside waits, summed over threads.
     pub busy_ns: u64,
-    /// Nanoseconds spent waiting for peer horizons to open.
+    /// Nanoseconds spent waiting for a peer's promise to rise.
     pub stall_ns: u64,
-    /// Demand-driven null messages (eventless clock publications).
+    /// Demand-driven null messages (eventless promise raises).
     pub null_advances: u64,
-    /// Cross-shard messages exchanged.
+    /// Cross-site messages between logical processes.
     pub messages: u64,
     /// Monolithic fallbacks despite `shards > 1`.
     pub fallbacks: u64,
 }
 
 impl ShardStatsSnapshot {
-    /// Null messages per cross-shard payload message — the overhead ratio
+    /// Null messages per cross-site payload message — the overhead ratio
     /// of the conservative protocol. Zero when no messages flowed.
     pub fn null_message_ratio(&self) -> f64 {
         if self.messages == 0 {

@@ -31,11 +31,12 @@
 //! `H_i = min(H_ext, min over its other live LPs j of next_j + α, next_i + 2α)`.
 //! `H_ext` is the thread's external horizon on the [`PromiseBoard`]: the
 //! other threads' minimum promise plus α. The thread's own promise is
-//! `min over its live LPs of min(next_i, H_ext)`, published after the
-//! messages of its last step are routed; a publication that raises the
-//! promise without an event having run is the demand-driven Chandy–
-//! Misra–Bryant *null message* (counted in `carat_obs::shardstats`,
-//! never in the report). Progress is deadlock-free: the thread holding
+//! `min over its live LPs of min(next_i, H_ext)`, published after each
+//! step, once the step's messages are routed, and before each wait. A
+//! pre-wait publication that raises the promise is the demand-driven
+//! Chandy–Misra–Bryant *null message* (counted in
+//! `carat_obs::shardstats`, never in the report). Progress is
+//! deadlock-free: the thread holding
 //! the minimum promise always has its earliest LP strictly below its
 //! bound. A thread with nothing below any bound waits for a foreign
 //! promise to rise. An LP retires once `min(next_i, H_i) > warmup +
