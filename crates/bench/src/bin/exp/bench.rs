@@ -188,7 +188,7 @@ fn xsite_scenario(shards: usize) -> SimConfig {
 /// byte-identical reports for every shard count, and returns the
 /// `"shards_xsite"` JSON section for `BENCH_sim.json`. On top of the
 /// wall-clock numbers it records the conservative protocol's overhead —
-/// the null-message (eventless clock publication) ratio per payload
+/// the null-message (eventless promise publication) ratio per payload
 /// message and the busy/stall wall-clock split — as a scoped
 /// `shardstats` delta of the *fastest* repetition alone, so one cell's
 /// traffic never bleeds into another's numbers (and the section stays

@@ -208,7 +208,7 @@ pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, 
     // Each worker builds its own block, so the LPs' storage loads run in
     // parallel. Blocks are contiguous and joined in order, so the
     // outcomes come back in site order.
-    let outcomes: Vec<LpOutcome> = if shards == 1 {
+    let mut outcomes: Vec<LpOutcome> = if shards == 1 {
         run_block(&links, 0, (0..sites).map(build).collect(), end)
     } else {
         std::thread::scope(|scope| {
@@ -228,17 +228,7 @@ pub(crate) fn run_sharded(cfg: SimConfig, lookahead: Time) -> Result<RunOutput, 
         })
     };
     debug_assert!(outcomes.iter().enumerate().all(|(i, o)| o.0 == i));
-    merge(outcomes, budget, end, tracing, metrics_on)
-}
 
-/// Folds the per-site outcomes (in site order) into one run's output.
-fn merge(
-    mut outcomes: Vec<LpOutcome>,
-    budget: u64,
-    end: Time,
-    tracing: bool,
-    metrics_on: bool,
-) -> Result<RunOutput, SimError> {
     let first_trip = outcomes
         .iter()
         .filter_map(|(_, _, trip)| *trip)
@@ -288,6 +278,10 @@ fn merge(
     Ok((report, tracer, metrics))
 }
 
+/// Spin iterations before a waiting thread starts yielding its core,
+/// when every thread has a core of its own.
+const SPINS: u32 = 256;
+
 /// What a run's worker threads share: the promise board, one channel per
 /// ordered pair of sites (only pairs on different threads carry
 /// anything), and per destination site the number of channel messages it
@@ -297,17 +291,24 @@ struct Links {
     board: PromiseBoard,
     channels: Vec<Mutex<ShardChannel<XMsg>>>,
     pending: Vec<AtomicUsize>,
+    /// How long a waiting thread spins before it yields: [`SPINS`] when
+    /// the host has a core per thread, else 0. With more threads than
+    /// cores, a spinning waiter would hold a core the thread it waits
+    /// for needs (8 threads on 2 cores ran 3× slower spinning).
+    spins: u32,
 }
 
 impl Links {
     fn new(map: SiteShardMap, lookahead: Time) -> Self {
         let sites = map.sites();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Links {
             board: PromiseBoard::new(map.shards(), lookahead),
             channels: (0..sites * sites)
                 .map(|_| Mutex::new(ShardChannel::new()))
                 .collect(),
             pending: (0..sites).map(|_| AtomicUsize::new(0)).collect(),
+            spins: if map.shards() <= cores { SPINS } else { 0 },
             map,
         }
     }
@@ -348,17 +349,45 @@ impl Links {
             }
         }
     }
-}
 
-/// Spin iterations before a waiting thread starts yielding its core.
-const SPINS: u32 = 256;
+    /// Waits until `thread`'s external horizon rises above `seen`: spins
+    /// up to [`Links::spins`] times, then yields. Returns the nanoseconds
+    /// waited.
+    ///
+    /// # Panics
+    ///
+    /// After 60 s without a rise. The lookahead argument (module docs)
+    /// makes that impossible, so a wedged protocol fails loudly instead
+    /// of spinning forever.
+    fn wait_for_rise(&self, thread: usize, seen: Time, end: Time) -> u64 {
+        let start = Instant::now();
+        let mut spins = 0;
+        while self.board.horizon(thread) <= seen {
+            if spins < self.spins {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+                if start.elapsed().as_secs() >= 60 {
+                    panic!(
+                        "coupled shard driver: no foreign promise rose for 60s \
+                         (horizon {seen} ms, end {end} ms) — conservative \
+                         protocol wedged"
+                    );
+                }
+            }
+        }
+        start.elapsed().as_nanos() as u64
+    }
+}
 
 /// Runs one worker thread's event-ordered loop over its block of LPs (see
 /// the module docs) until every LP has retired. Each iteration drains
-/// arrived channel messages, publishes the thread's promise, retires the
-/// LPs that are done, and steps the LP with the earliest next event
-/// through its bound — or, with nothing below any bound, waits for a
-/// foreign promise to rise. Wall-clock busy and stall time, null
+/// arrived channel messages, retires the LPs that are done, and steps
+/// the LP with the earliest next event through its bound, then publishes
+/// the thread's promise — or, with nothing below any bound, publishes it
+/// and waits for a foreign promise to rise. Wall-clock busy and stall
+/// time, null
 /// advances and message counts go to the process-global `shardstats`
 /// registry, never into the `Sim`s.
 fn run_block(
@@ -451,7 +480,7 @@ fn run_block(
         } else {
             // A raised promise that ran no event is a null message.
             nulls += u64::from(links.board.publish(thread, m1.min(h_ext)));
-            stall_ns += wait_for_rise(&links.board, thread, h_ext, end);
+            stall_ns += links.wait_for_rise(thread, h_ext, end);
         }
     }
     links.board.publish(thread, Time::INFINITY);
@@ -465,36 +494,6 @@ fn run_block(
         .zip(trips)
         .map(|((site, lp), trip)| (site, lp, trip))
         .collect()
-}
-
-/// Waits until `thread`'s external horizon rises above `seen`: spins
-/// briefly, then yields, so a run with more threads than cores still
-/// lets the thread it waits for run. Returns the nanoseconds waited.
-///
-/// # Panics
-///
-/// After 60 s without a rise. The lookahead argument (module docs) makes
-/// that impossible, so a wedged protocol fails loudly instead of
-/// spinning forever.
-fn wait_for_rise(board: &PromiseBoard, thread: usize, seen: Time, end: Time) -> u64 {
-    let start = Instant::now();
-    let mut spins = 0;
-    while board.horizon(thread) <= seen {
-        if spins < SPINS {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-            if start.elapsed().as_secs() >= 60 {
-                panic!(
-                    "coupled shard driver: no foreign promise rose for 60s \
-                     (horizon {seen} ms, end {end} ms) — conservative \
-                     protocol wedged"
-                );
-            }
-        }
-    }
-    start.elapsed().as_nanos() as u64
 }
 
 #[cfg(test)]
