@@ -30,6 +30,8 @@ use crate::program::{
 };
 use crate::slab::{TxId, TxSlab};
 
+// The sharded engine's site-LP methods live in `lp.rs`, declared as a
+// child module so they keep access to the engine's private state.
 #[path = "lp.rs"]
 mod lp;
 use lp::InboxEntry;

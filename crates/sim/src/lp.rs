@@ -159,7 +159,7 @@ impl Sim {
     /// below `bound` and no later than `end`. On a timestamp tie the
     /// inbox goes first — fixed once, so every shard layout merges the two
     /// streams identically. Returns `Some(t)` when the event budget trips
-    /// at `t`; the driver then freezes this LP.
+    /// at `t`; the driver then retires this LP.
     pub(crate) fn lp_step_until(&mut self, bound: Time, end: Time) -> Option<Time> {
         self.lp_bound = self.lp_bound.max(bound);
         let budget = self.cfg.max_events;
