@@ -22,6 +22,12 @@ echo "== sweep determinism gate (acceleration on)"
 cargo run --release -p carat-bench --bin exp -- bench --emit --accel anderson --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
 cargo run --release -p carat-bench --bin exp -- bench --emit --accel anderson --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
 cmp "${TMPDIR:-/tmp}/sweep_acc_par.json" "${TMPDIR:-/tmp}/sweep_acc_seq.json"
+echo "== sweep determinism gate (cold starts)"
+# Cold sweeps put every point in its own task, so the pool interleaves
+# them differently from the warm chains above.
+cargo run --release -p carat-bench --bin exp -- bench --emit --no-warm --threads 4 --out "${TMPDIR:-/tmp}/sweep_cold_par.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit --no-warm --sequential --out "${TMPDIR:-/tmp}/sweep_cold_seq.json"
+cmp "${TMPDIR:-/tmp}/sweep_cold_par.json" "${TMPDIR:-/tmp}/sweep_cold_seq.json"
 echo "== solver iteration regression gate"
 # Plain per-point counts within +10% of the pinned reference; accelerated
 # totals at most 70% of the plain total (DESIGN.md §12).

@@ -13,8 +13,6 @@ use crate::{bench, Experiment, EXPERIMENTS};
 /// What `exp bench` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Time the model and simulator sweeps and write the BENCH files.
-    Bench,
     /// `--emit`: print the model grid's canonical JSON.
     Emit,
     /// `--emit-sim`: print the replicated reference sim sweep's canonical
@@ -22,6 +20,26 @@ pub enum Mode {
     EmitSim,
     /// `--check-iters`: the solver iteration-count regression gate.
     CheckIters,
+}
+
+impl Mode {
+    /// The flag that selects the mode.
+    fn flag(self) -> &'static str {
+        match self {
+            Mode::Emit => "--emit",
+            Mode::EmitSim => "--emit-sim",
+            Mode::CheckIters => "--check-iters",
+        }
+    }
+
+    /// The `exp bench` option flags the mode reads.
+    fn options(self) -> &'static [&'static str] {
+        match self {
+            Mode::Emit => &["--out", "--accel"],
+            Mode::EmitSim => &["--out", "--reps"],
+            Mode::CheckIters => &[],
+        }
+    }
 }
 
 /// A parsed `exp` command line.
@@ -33,14 +51,13 @@ pub struct Args {
     pub sweep: SweepOptions,
     /// `CARAT_MEASURE_MS`, when set: overrides the experiment's window.
     pub measure_ms: Option<f64>,
-    /// `bench` only: `--emit` / `--emit-sim` / `--check-iters`.
-    pub mode: Mode,
+    /// `bench` only, and required there: `--emit` / `--emit-sim` /
+    /// `--check-iters`.
+    pub mode: Option<Mode>,
     /// `bench` only: `--out PATH`.
     pub out: Option<String>,
     /// `bench --emit-sim` only: `--reps R`.
     pub reps: u32,
-    /// `bench --emit-sim` only: `--shards K`.
-    pub shards: usize,
     /// `bench --emit` only: `--accel off|anderson`.
     pub accel: Accel,
 }
@@ -71,12 +88,13 @@ pub fn parse(argv: &[String], measure_ms: Option<&str>) -> Result<Args, String> 
         experiment,
         sweep: SweepOptions::default(),
         measure_ms,
-        mode: Mode::Bench,
+        mode: None,
         out: None,
         reps: bench::SIM_REPS,
-        shards: 1,
         accel: Accel::Off,
     };
+    // The `exp bench` option flags given, checked against the mode below.
+    let mut options = Vec::new();
     let mut rest = argv[1..].iter();
     while let Some(flag) = rest.next() {
         let mut value = || {
@@ -84,10 +102,10 @@ pub fn parse(argv: &[String], measure_ms: Option<&str>) -> Result<Args, String> 
                 .ok_or_else(|| format!("missing value after {flag}"))
         };
         let mut mode = |m: Mode| {
-            if args.mode != Mode::Bench && args.mode != m {
+            if args.mode.is_some_and(|old| old != m) {
                 return Err("--emit, --emit-sim and --check-iters are exclusive".to_string());
             }
-            args.mode = m;
+            args.mode = Some(m);
             Ok(())
         };
         match flag.as_str() {
@@ -100,13 +118,26 @@ pub fn parse(argv: &[String], measure_ms: Option<&str>) -> Result<Args, String> 
             "--check-iters" => mode(Mode::CheckIters)?,
             "--out" => args.out = Some(value()?.clone()),
             "--reps" => args.reps = number::<u32>(flag, value()?)?.max(1),
-            "--shards" => args.shards = number::<usize>(flag, value()?)?.max(1),
             "--accel" => {
                 let v = value()?;
                 args.accel = Accel::parse(v)
                     .ok_or_else(|| format!("--accel expects off|anderson, got {v:?}"))?;
             }
             _ => return Err(format!("unknown flag {flag} for `exp {name}`")),
+        }
+        if matches!(flag.as_str(), "--out" | "--reps" | "--accel") {
+            options.push(flag.as_str());
+        }
+    }
+    if name == "bench" {
+        let mode = args
+            .mode
+            .ok_or("`exp bench` needs a mode: --emit, --emit-sim or --check-iters")?;
+        if let Some(flag) = options.iter().find(|f| !mode.options().contains(f)) {
+            return Err(format!(
+                "{flag} does not apply to `exp bench {}`",
+                mode.flag()
+            ));
         }
     }
     Ok(args)
@@ -147,28 +178,29 @@ mod tests {
 
     #[test]
     fn bench_flags_pass_through() {
-        let a = ok("bench");
-        assert_eq!((a.mode, a.out.as_deref()), (Mode::Bench, None));
-        assert_eq!(
-            (a.reps, a.shards, a.accel),
-            (bench::SIM_REPS, 1, Accel::Off)
-        );
+        let a = ok("bench --emit");
+        assert_eq!((a.mode, a.out.as_deref()), (Some(Mode::Emit), None));
+        assert_eq!((a.reps, a.accel), (bench::SIM_REPS, Accel::Off));
         let a = ok("bench --emit --out x.json --threads 6 --no-warm --accel anderson");
-        assert_eq!((a.mode, a.out.as_deref()), (Mode::Emit, Some("x.json")));
+        assert_eq!(
+            (a.mode, a.out.as_deref()),
+            (Some(Mode::Emit), Some("x.json"))
+        );
         assert_eq!(
             (a.sweep.threads, a.sweep.warm, a.accel),
             (6, false, Accel::Anderson)
         );
-        assert_eq!(ok("bench --emit --accel off").accel, Accel::Off);
-        let a = ok("bench --emit-sim --reps 5 --shards 4 --sequential");
+        // The mode flag may come after its options.
+        assert_eq!(ok("bench --accel off --emit").accel, Accel::Off);
+        let a = ok("bench --emit-sim --reps 5 --out y.json --sequential");
         assert_eq!(
-            (a.mode, a.reps, a.shards, a.sweep.threads),
-            (Mode::EmitSim, 5, 4, 1)
+            (a.mode, a.reps, a.out.as_deref(), a.sweep.threads),
+            (Some(Mode::EmitSim), 5, Some("y.json"), 1)
         );
-        // Zero replications or shards clamp to one.
-        let a = ok("bench --emit-sim --reps 0 --shards 0");
-        assert_eq!((a.reps, a.shards), (1, 1));
-        assert_eq!(ok("bench --check-iters").mode, Mode::CheckIters);
+        // Zero replications clamp to one.
+        assert_eq!(ok("bench --emit-sim --reps 0").reps, 1);
+        assert_eq!(ok("bench --check-iters").mode, Some(Mode::CheckIters));
+        assert_eq!(ok("table3").mode, None);
     }
 
     #[test]
@@ -189,16 +221,41 @@ mod tests {
             ("table3 --threads x", "--threads expects a whole number"),
             ("table3 --threads", "missing value after --threads"),
             ("bench --emit-sim --reps x", "--reps expects a whole number"),
-            (
-                "bench --emit-sim --shards -1",
-                "--shards expects a whole number",
-            ),
             ("bench --emit --accel", "missing value after --accel"),
             (
                 "bench --emit --accel aitken",
                 "--accel expects off|anderson",
             ),
             ("bench --emit --out", "missing value after --out"),
+            // `exp bench` has no default mode, and a flag its mode does
+            // not read is an error, whatever the order.
+            ("bench", "`exp bench` needs a mode"),
+            (
+                "bench --sequential --out x.json",
+                "`exp bench` needs a mode",
+            ),
+            (
+                "bench --check-iters --accel anderson --out x.json",
+                "--accel does not apply to `exp bench --check-iters`",
+            ),
+            (
+                "bench --out x.json --check-iters",
+                "--out does not apply to `exp bench --check-iters`",
+            ),
+            (
+                "bench --check-iters --reps 2",
+                "--reps does not apply to `exp bench --check-iters`",
+            ),
+            (
+                "bench --emit --reps 5",
+                "--reps does not apply to `exp bench --emit`",
+            ),
+            (
+                "bench --accel anderson --emit-sim",
+                "--accel does not apply to `exp bench --emit-sim`",
+            ),
+            ("bench --emit --shards 3", "unknown flag --shards"),
+            ("bench --emit-sim --shards 2", "unknown flag --shards"),
         ] {
             let e = parse_str(argv).expect_err(argv);
             assert!(e.contains(says), "{argv}: {e}");
@@ -226,7 +283,13 @@ mod tests {
                 EXPERIMENTS[i + 1..].iter().all(|e| e.0 != name),
                 "{name} twice"
             );
-            assert_eq!(ok(name).experiment.0, name);
+            // `exp bench` also needs a mode.
+            let argv = if name == "bench" {
+                "bench --emit"
+            } else {
+                name
+            };
+            assert_eq!(ok(argv).experiment.0, name);
         }
     }
 }

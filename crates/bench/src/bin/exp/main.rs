@@ -6,9 +6,9 @@
 //!
 //! [`EXPERIMENTS`] lists the experiments: the paper's validation sweeps
 //! (Figures 5–10, Tables 1–5), the model ablations, the extension
-//! experiments, and the sweep-engine benchmark (`bench`). Each one that
-//! simulates runs every point for a measured window of simulated time,
-//! which `CARAT_MEASURE_MS` overrides. Every sweep runs on the
+//! experiments, and the determinism and iteration gates (`bench`). Each
+//! one that simulates runs every point for a measured window of simulated
+//! time, which `CARAT_MEASURE_MS` overrides. Every sweep runs on the
 //! deterministic pool of `carat_bench::sweep`, so `--threads` and
 //! `--sequential` change only the wall clock: the output is
 //! byte-identical for every thread count. A bad command line prints
@@ -60,8 +60,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
 fn usage() -> String {
     let mut text = String::from(
         "usage: exp <experiment> [--threads N | --sequential] [--no-warm]\n       \
-         exp bench [--emit | --emit-sim | --check-iters] [--out PATH]\n                 \
-         [--reps R] [--shards K] [--accel off|anderson]\n\n\
+         exp bench --emit [--accel off|anderson] [--out PATH]\n       \
+         exp bench --emit-sim [--reps R] [--out PATH]\n       \
+         exp bench --check-iters\n\n\
          experiments and the simulated window of each point (CARAT_MEASURE_MS=<ms> sets it):\n",
     );
     for &(name, window_ms, _) in EXPERIMENTS {
@@ -72,9 +73,8 @@ fn usage() -> String {
         --threads N    sweep worker threads (0 means 1); output is byte-identical for every N\n\
         --sequential   same as --threads 1\n\
         --no-warm      solve every model point from a cold start\n\
-        bench modes: timings into BENCH_sweep.json (or --out) and BENCH_sim.json by default;\n\
-        --emit (model grid JSON, honours --accel), --emit-sim (replicated sim JSON, honours\n\
-        --reps, default 3, and --shards), --check-iters (solver iteration gate)\n"
+        bench modes, exactly one required: --emit (model grid JSON), --emit-sim (replicated\n\
+        sim JSON, --reps default 3), --check-iters (solver iteration gate)\n"
 }
 
 fn main() {

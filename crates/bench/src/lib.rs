@@ -10,10 +10,8 @@
 //! identical Table 2 parameters, and prints the paper's rows (TR-XPUT,
 //! Total-CPU, Total-DIO, record throughput, per-type throughput) side by
 //! side. The same binary holds the extension experiments and the
-//! sweep-engine benchmark (`exp bench`).
-//!
-//! The `benches/` directory holds the matching criterion benchmarks (one
-//! group per paper artifact, plus component microbenchmarks).
+//! determinism and iteration gates CI runs (`exp bench`). Nothing here
+//! times anything: the repository's one timing harness is `benchmark/`.
 
 pub mod replicate;
 pub mod sweep;
@@ -25,10 +23,7 @@ use carat::workload::{StandardWorkload, TxType};
 pub use replicate::{
     rep_seed, replicated_to_json, run_replications, splitmix64, MetricCi, ReplicatedReport,
 };
-pub use sweep::{
-    chain_to_json, json_f64, run_tasks, run_tasks_timed, solve_chain, ModelPoint, PoolStats,
-    SweepOptions, WorkerStats,
-};
+pub use sweep::{chain_to_json, json_f64, run_tasks, solve_chain, ModelPoint, SweepOptions};
 
 /// Transaction sizes swept in the paper's evaluation.
 pub const N_SWEEP: [u32; 5] = [4, 8, 12, 16, 20];
@@ -111,7 +106,7 @@ pub fn run_sim(wl: StandardWorkload, n: u32, seed: u64, measure_ms: f64) -> SimR
 /// Full sweep of one workload: one warm-start model chain over
 /// [`N_SWEEP`] (cold when `opts.warm` is off), then one simulator run per
 /// (n, seed) as independent tasks on `opts.threads` workers. Results are
-/// byte-identical for every thread count and partition seed.
+/// byte-identical for every thread count.
 pub fn sweep_with(wl: StandardWorkload, measure_ms: f64, opts: &SweepOptions) -> Vec<Row> {
     let models = solve_chain(&model_chain(wl, &ModelOptions::default()), opts.warm);
     let grid: Vec<(u32, u64)> = N_SWEEP

@@ -12,9 +12,8 @@
 //!   task from an atomic ticket counter over a fixed task order, so a
 //!   worker stuck on a slow task never leaves queued work idle behind a
 //!   static partition — but *which values are computed* never depends on
-//!   timing: the ticket order is a pure function of the task index and
-//!   [`SweepOptions::partition_seed`], and every task carries its own
-//!   index to a dedicated result slot;
+//!   timing: ticket `t` is task `t`, and every task carries its own index
+//!   to a dedicated result slot;
 //! * results are merged back in task order, so downstream printing sees
 //!   the same sequence a `for` loop would have produced;
 //! * each task's computation is untouched by the scheduling (the model
@@ -24,14 +23,10 @@
 //!   the neighbor a point is seeded from is fixed by the chain layout, not
 //!   by which point happened to finish first.
 //!
-//! Only the *timing* telemetry ([`PoolStats`]) varies between runs; it is
-//! reported beside the results, never mixed into them.
-//!
 //! The engine is dependency-free: `std::thread::scope` only.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use carat::model::{Model, ModelConfig, ModelOptions, ModelReport, WarmStart};
 
@@ -45,10 +40,6 @@ pub struct SweepOptions {
     /// Seed warm-startable chains from their nearest solved neighbor
     /// (see [`solve_chain`]); `false` forces every point to a cold start.
     pub warm: bool,
-    /// Rotates the order tickets visit the task list. Any value yields
-    /// identical results (that is the point — it exists so tests can
-    /// prove it).
-    pub partition_seed: u64,
 }
 
 impl Default for SweepOptions {
@@ -58,7 +49,6 @@ impl Default for SweepOptions {
                 .map(|n| n.get())
                 .unwrap_or(1),
             warm: true,
-            partition_seed: 0,
         }
     }
 }
@@ -74,57 +64,19 @@ impl SweepOptions {
     }
 }
 
-/// One worker's share of a [`run_tasks_timed`] execution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkerStats {
-    /// Tasks this worker completed.
-    pub tasks: usize,
-    /// Wall-clock time spent inside task closures (ms).
-    pub busy_ms: f64,
-}
-
-/// Timing telemetry for one pool execution. Unlike the results, these
-/// numbers are *not* deterministic — they describe how this particular run
-/// spent its time (which worker drew which ticket is a race by design).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PoolStats {
-    /// Wall-clock duration of the whole `run_tasks` call (ms).
-    pub wall_ms: f64,
-    /// Per-worker busy time and task counts, indexed by worker.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl PoolStats {
-    /// Idle time of worker `w`: pool wall clock minus its busy time,
-    /// clamped at zero (the busy sum can exceed wall Δ by timer jitter).
-    pub fn idle_ms(&self, w: usize) -> f64 {
-        (self.wall_ms - self.workers[w].busy_ms).max(0.0)
-    }
-}
-
 /// Runs `f` over every task on a fixed worker pool and returns the results
-/// **in task order** — see [`run_tasks_timed`] for the scheduling
-/// contract. A panic inside any task propagates to the caller (after the
-/// scope has joined every worker), exactly as it would sequentially.
-pub fn run_tasks<T, R, F>(tasks: Vec<T>, opts: &SweepOptions, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    run_tasks_timed(tasks, opts, f).0
-}
-
-/// [`run_tasks`] plus [`PoolStats`] telemetry.
+/// **in task order**.
 ///
 /// Scheduling is a *deterministic dynamic* (work-stealing-equivalent)
-/// scheme: tickets are drawn from one atomic counter, ticket `t` maps to
-/// task index `(t + partition_seed) % n`, and each result lands in the
-/// slot of its task index. Whichever worker is free takes the next ticket
-/// — that race decides only *who* computes a task and *when*, never *what*
-/// is computed or *where* the result goes, so the returned vector is
-/// byte-identical to a sequential run for every thread count and seed.
-pub fn run_tasks_timed<T, R, F>(tasks: Vec<T>, opts: &SweepOptions, f: F) -> (Vec<R>, PoolStats)
+/// scheme: tickets are drawn from one atomic counter, ticket `t` is task
+/// `t`, and each result lands in the slot of its task index. Whichever
+/// worker is free takes the next ticket — that race decides only *who*
+/// computes a task and *when*, never *what* is computed or *where* the
+/// result goes, so the returned vector is byte-identical to a sequential
+/// run for every thread count. A panic inside any task propagates to the
+/// caller (after the scope has joined every worker), exactly as it would
+/// sequentially.
+pub fn run_tasks<T, R, F>(tasks: Vec<T>, opts: &SweepOptions, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -132,60 +84,38 @@ where
 {
     let n = tasks.len();
     let threads = opts.threads.max(1).min(n.max(1));
-    let started = Instant::now();
     if threads <= 1 {
-        let results: Vec<R> = tasks
+        return tasks
             .into_iter()
             .enumerate()
             .map(|(i, t)| f(i, t))
             .collect();
-        let busy_ms = started.elapsed().as_secs_f64() * 1e3;
-        let stats = PoolStats {
-            wall_ms: busy_ms,
-            workers: vec![WorkerStats { tasks: n, busy_ms }],
-        };
-        return (results, stats);
     }
 
-    let seed = opts.partition_seed as usize % n;
     let cells: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     // `Mutex<Option<R>>` rather than `OnceLock<R>` keeps the public bound
     // at `R: Send` (a `OnceLock` slot shared across workers needs `Sync`).
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let ticket = AtomicUsize::new(0);
     let (f, cells, slots, ticket) = (&f, &cells, &slots, &ticket);
-    let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut stats = WorkerStats::default();
-                    loop {
-                        let t = ticket.fetch_add(1, Ordering::Relaxed);
-                        if t >= n {
-                            break;
-                        }
-                        let i = (t + seed) % n;
-                        let task = cells[i]
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("each ticket maps to a distinct task");
-                        let t0 = Instant::now();
-                        let result = f(i, task);
-                        stats.busy_ms += t0.elapsed().as_secs_f64() * 1e3;
-                        stats.tasks += 1;
-                        *slots[i].lock().unwrap() = Some(result);
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(move || loop {
+                let i = ticket.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let task = cells[i]
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("each ticket maps to a distinct task");
+                let result = f(i, task);
+                *slots[i].lock().unwrap() = Some(result);
+            });
+        }
     });
-    let results: Vec<R> = slots
+    slots
         .iter()
         .map(|s| {
             s.lock()
@@ -193,12 +123,7 @@ where
                 .take()
                 .expect("every task produces exactly one result")
         })
-        .collect();
-    let stats = PoolStats {
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        workers,
-    };
-    (results, stats)
+        .collect()
 }
 
 /// One model configuration inside a warm-start chain.
@@ -296,43 +221,22 @@ mod tests {
     use super::*;
     use carat::workload::StandardWorkload;
 
-    fn opts(threads: usize, seed: u64) -> SweepOptions {
+    fn opts(threads: usize) -> SweepOptions {
         SweepOptions {
             threads,
             warm: true,
-            partition_seed: seed,
         }
     }
 
     #[test]
     fn run_tasks_preserves_task_order_for_any_partition() {
+        // Each task runs once, with its own index, and its result lands in
+        // its own slot, however the tasks spread over the workers.
         let tasks: Vec<u64> = (0..23).collect();
-        let expected: Vec<u64> = tasks.iter().map(|t| t * t).collect();
-        for threads in [1usize, 2, 3, 8, 64] {
-            for seed in [0u64, 1, 7, 1987] {
-                let got = run_tasks(tasks.clone(), &opts(threads, seed), |_, t| t * t);
-                assert_eq!(got, expected, "threads={threads} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn timed_pool_accounts_every_task_exactly_once() {
-        let tasks: Vec<u64> = (0..37).collect();
-        let expected: Vec<u64> = tasks.iter().map(|t| 2 * t).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let (got, stats) =
-                run_tasks_timed(tasks.clone(), &opts(threads, 5), |i, t| i as u64 + t);
+        let expected: Vec<(usize, u64)> = tasks.iter().map(|&t| (t as usize, t * t)).collect();
+        for threads in [1usize, 2, 3, 4, 8, 64] {
+            let got = run_tasks(tasks.clone(), &opts(threads), |i, t| (i, t * t));
             assert_eq!(got, expected, "threads={threads}");
-            assert_eq!(stats.workers.len(), threads.min(tasks.len()));
-            assert_eq!(
-                stats.workers.iter().map(|w| w.tasks).sum::<usize>(),
-                tasks.len()
-            );
-            for w in 0..stats.workers.len() {
-                assert!(stats.workers[w].busy_ms >= 0.0);
-                assert!(stats.idle_ms(w) >= 0.0);
-            }
         }
     }
 
@@ -350,18 +254,15 @@ mod tests {
         };
         let expected: Vec<u64> = tasks.iter().map(|t| t * 3).collect();
         for threads in [1usize, 2, 4, 8] {
-            for seed in [0u64, 9] {
-                let got = run_tasks(tasks.clone(), &opts(threads, seed), slow);
-                assert_eq!(got, expected, "threads={threads} seed={seed}");
-            }
+            let got = run_tasks(tasks.clone(), &opts(threads), slow);
+            assert_eq!(got, expected, "threads={threads}");
         }
     }
 
     #[test]
     fn parallel_model_chain_is_byte_identical_to_sequential() {
         // Two chains (two workloads) across a short n sweep: the rendered
-        // JSON must match byte for byte between 1 worker and many, and be
-        // independent of the partition seed.
+        // JSON must match byte for byte between 1 worker and many.
         let chains: Vec<Vec<ModelPoint>> = [StandardWorkload::Mb4, StandardWorkload::Mb8]
             .iter()
             .map(|&wl| {
@@ -383,15 +284,9 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("")
         };
-        let seq = render(&opts(1, 0));
+        let seq = render(&opts(1));
         for threads in [2usize, 4] {
-            for seed in [0u64, 3] {
-                assert_eq!(
-                    seq,
-                    render(&opts(threads, seed)),
-                    "threads={threads} seed={seed}"
-                );
-            }
+            assert_eq!(seq, render(&opts(threads)), "threads={threads}");
         }
     }
 

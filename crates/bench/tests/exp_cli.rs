@@ -1,6 +1,7 @@
 //! Smoke test of the `exp` binary's command line: the two experiments
-//! that run no simulation succeed, and a bad command line fails with
-//! status 2 and a usage text naming every experiment.
+//! that run no simulation succeed, and a bad command line (`exp bench`
+//! without a mode among them) fails with status 2 and a usage text naming
+//! every experiment.
 
 use std::process::{Command, Output};
 
@@ -39,7 +40,9 @@ fn table1_and_table2_print_their_checks() {
 
 #[test]
 fn bad_command_lines_exit_2_with_the_usage() {
-    for args in [&["nosuch"][..], &["table1", "--bogus"], &[]] {
+    // `exp bench` has no default mode: without one it exits 2 before
+    // doing anything.
+    for args in [&["nosuch"][..], &["table1", "--bogus"], &[], &["bench"]] {
         let out = exp(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "{args:?}");

@@ -1,8 +1,8 @@
 //! Determinism contract of the replication harness: the canonical JSON
 //! rendered from `run_replications` must be byte-identical for every
-//! thread count and partition seed — the property the CI `--emit-sim`
-//! gate checks end to end on the full reference sweep, pinned here on a
-//! smaller grid so `cargo test` covers it too.
+//! thread count — the property the CI `--emit-sim` gate checks end to end
+//! on the full reference sweep, pinned here on a smaller grid so
+//! `cargo test` covers it too.
 
 use carat::sim::{Sim, SimConfig};
 use carat::workload::StandardWorkload;
@@ -32,20 +32,15 @@ fn parallel_replications_match_sequential_bytes() {
         &run_replications(cfgs.clone(), reps, &SweepOptions::sequential()),
     );
     for threads in [1, 2, 4] {
-        for partition_seed in [0, 1, 13] {
-            let opts = SweepOptions {
-                threads,
-                warm: false,
-                partition_seed,
-            };
-            let parallel =
-                replicated_to_json(&labels, &run_replications(cfgs.clone(), reps, &opts));
-            assert_eq!(
-                parallel, sequential,
-                "replication output diverged at threads={threads}, \
-                 partition_seed={partition_seed}"
-            );
-        }
+        let opts = SweepOptions {
+            threads,
+            warm: false,
+        };
+        let parallel = replicated_to_json(&labels, &run_replications(cfgs.clone(), reps, &opts));
+        assert_eq!(
+            parallel, sequential,
+            "replication output diverged at threads={threads}"
+        );
     }
 }
 

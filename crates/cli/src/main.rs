@@ -330,7 +330,6 @@ fn run_sim_replicated(spec: &RunSpec) -> Vec<ReplicatedReport> {
     let opts = SweepOptions {
         threads: spec.threads,
         warm: false,
-        partition_seed: 0,
     };
     let cfgs = spec.n_values.iter().map(|&n| sim_cfg(spec, n)).collect();
     run_replications(cfgs, spec.reps, &opts)

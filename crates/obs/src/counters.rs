@@ -2,9 +2,8 @@
 //!
 //! Counters are named monotone `u64` totals (events by kind, high-water
 //! marks, per-phase residence totals). The registry stores them in a
-//! `BTreeMap` so every enumeration — snapshots, JSON export, equality —
-//! is in sorted key order, independent of insertion order or thread
-//! count. Merging registries (for replicated runs) adds totals keywise.
+//! `BTreeMap` so every enumeration — snapshots, equality — is in sorted
+//! key order, independent of insertion order or thread count.
 
 use std::collections::BTreeMap;
 
@@ -29,13 +28,6 @@ impl CounterRegistry {
         }
     }
 
-    /// Sets the named counter to `max(current, value)` — for high-water
-    /// marks, where merge semantics are "highest seen", not a sum.
-    pub fn record_max(&mut self, name: &str, value: u64) {
-        let v = self.counters.entry(name.to_string()).or_insert(0);
-        *v = (*v).max(value);
-    }
-
     /// The counter's value, or 0 when never touched.
     pub fn get(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -51,43 +43,9 @@ impl CounterRegistry {
         self.counters.is_empty()
     }
 
-    /// Folds another registry into this one. Counters whose name ends in
-    /// `_hwm` merge by maximum (a high-water mark across replications is
-    /// the highest replication's mark); everything else sums.
-    pub fn merge(&mut self, other: &CounterRegistry) {
-        for (name, &value) in &other.counters {
-            if name.ends_with("_hwm") {
-                self.record_max(name, value);
-            } else {
-                self.add(name, value);
-            }
-        }
-    }
-
     /// Sorted `(name, value)` view — the canonical snapshot order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// The registry as a canonical JSON object: sorted keys, integer
-    /// values, `indent` leading spaces per line.
-    pub fn to_json(&self, indent: usize) -> String {
-        if self.counters.is_empty() {
-            return "{}".to_string();
-        }
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let mut out = String::from("{\n");
-        let mut first = true;
-        for (name, value) in self.iter() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!("{inner}\"{}\": {value}", crate::json_escape(name)));
-        }
-        out.push_str(&format!("\n{pad}}}"));
-        out
     }
 }
 
@@ -102,44 +60,5 @@ mod tests {
         r.add("events_total", 4);
         assert_eq!(r.get("events_total"), 7);
         assert_eq!(r.get("never_touched"), 0);
-    }
-
-    #[test]
-    fn record_max_keeps_highest() {
-        let mut r = CounterRegistry::new();
-        r.record_max("sched_heap_hwm", 10);
-        r.record_max("sched_heap_hwm", 4);
-        r.record_max("sched_heap_hwm", 12);
-        assert_eq!(r.get("sched_heap_hwm"), 12);
-    }
-
-    #[test]
-    fn merge_sums_totals_and_maxes_hwms() {
-        let mut a = CounterRegistry::new();
-        a.add("ev_cpu_done", 100);
-        a.record_max("slab_hwm", 8);
-        let mut b = CounterRegistry::new();
-        b.add("ev_cpu_done", 50);
-        b.record_max("slab_hwm", 11);
-        b.add("ev_disk_done", 5);
-        a.merge(&b);
-        assert_eq!(a.get("ev_cpu_done"), 150);
-        assert_eq!(a.get("slab_hwm"), 11, "hwm merges by max, not sum");
-        assert_eq!(a.get("ev_disk_done"), 5);
-    }
-
-    #[test]
-    fn json_is_sorted_and_stable() {
-        let mut r = CounterRegistry::new();
-        r.add("zebra", 1);
-        r.add("alpha", 2);
-        r.add("mid", 3);
-        let json = r.to_json(0);
-        let za = json.find("zebra").unwrap();
-        let al = json.find("alpha").unwrap();
-        let mi = json.find("mid").unwrap();
-        assert!(al < mi && mi < za, "keys sorted regardless of insertion");
-        assert_eq!(json, r.clone().to_json(0));
-        assert_eq!(CounterRegistry::new().to_json(2), "{}");
     }
 }

@@ -27,7 +27,7 @@
 //! * [`counters`]: a profiling-counter registry with canonical
 //!   (sorted-key) deterministic snapshots — events by kind, scheduler-heap
 //!   and transaction-slab high-water marks, per-phase residence totals —
-//!   surfaced in `SimReport` and `BENCH_sim.json`.
+//!   surfaced in `SimReport`.
 //! * [`shardstats`]: process-global telemetry for the sharded simulator
 //!   driver (busy/stall time, null-message counts, monolithic fallbacks)
 //!   — kept *outside* `SimReport` so reports stay byte-identical for

@@ -6,10 +6,10 @@
 //! byte-identical for every `--shards` value, including `--shards 1`.
 //! Scheduling telemetry therefore lives *outside* the report, in this
 //! process-global registry of relaxed atomics. The driver bumps them from
-//! worker threads; tools (`carat-cli`, `exp bench`) snapshot them after a
-//! run to surface busy/stall ratios, null-message (demand-driven promise
-//! publication) counts, cross-site message volume, and silent monolithic
-//! fallbacks.
+//! worker threads; tools (`carat-cli`, the benchmark's traced run)
+//! snapshot them after a run to surface busy/stall ratios, null-message
+//! (demand-driven promise publication) counts, cross-site message volume,
+//! and silent monolithic fallbacks.
 //!
 //! Relaxed ordering is deliberate: these are statistical counters with no
 //! cross-thread happens-before obligations, and the snapshot is only read
@@ -99,9 +99,9 @@ impl std::ops::Sub for ShardStatsSnapshot {
 
 /// A scoped view of the registry for one run: snapshot at construction,
 /// per-run delta at [`finish`](RunScope::finish). This is how multi-run
-/// processes (benchmark matrices, the replication harness, a CLI process
-/// running several points) attribute busy/stall/null totals to a single
-/// run instead of reporting the process-lifetime accumulation.
+/// processes (the benchmark, a CLI process running several points)
+/// attribute busy/stall/null totals to a single run instead of reporting
+/// the process-lifetime accumulation.
 ///
 /// The counters stay process-global, so a delta attributes *everything*
 /// that happened during the scope — concurrent runs in other threads
@@ -135,8 +135,7 @@ pub fn snapshot() -> ShardStatsSnapshot {
     }
 }
 
-/// Zeroes all counters. Benchmarks call this between matrix cells so each
-/// cell reports its own traffic.
+/// Zeroes all counters.
 pub fn reset() {
     BUSY_NS.store(0, Relaxed);
     STALL_NS.store(0, Relaxed);

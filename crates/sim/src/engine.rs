@@ -3586,15 +3586,15 @@ impl Sim {
         }
         // High-water marks are per-LP maxima after a sharded merge (the
         // `absorbed_*` fields are zero in the monolithic engine).
-        counters.record_max(
+        counters.add(
             "sched_heap_hwm",
             self.sched.high_water().max(self.absorbed_sched_hwm) as u64,
         );
-        counters.record_max(
+        counters.add(
             "slab_hwm",
             self.txs.high_water().max(self.absorbed_slab_hwm) as u64,
         );
-        counters.record_max(
+        counters.add(
             "slab_slots_hwm",
             self.txs.slots().max(self.absorbed_slab_slots) as u64,
         );

@@ -162,8 +162,7 @@ pub struct SimReport {
     /// would mean a transaction hung forever.
     pub oldest_inflight_ms: f64,
     /// Events processed by the simulation loop (including warm-up) — the
-    /// work metric behind the `events/sec` throughput figure in
-    /// `BENCH_sim.json`.
+    /// work metric behind the benchmark's `events_per_s`.
     pub events: u64,
     /// Records covered by the end-of-run commit audit.
     pub audited_records: u64,

@@ -4,7 +4,7 @@
 
 use carat::obs::{MetricsConfig, MetricsFilter, MetricsRecorder, TraceConfig, Tracer};
 use carat::sim::{
-    CcProtocol, DeadlockMode, FaultPlan, PartitionPlan, Sim, SimConfig, SimError, SimReport,
+    shard, CcProtocol, DeadlockMode, FaultPlan, PartitionPlan, Sim, SimConfig, SimError, SimReport,
     SplitSpec,
 };
 use carat::workload::{StandardWorkload, SystemParams};
@@ -287,7 +287,12 @@ fn a_budget_trip_keeps_exactly_the_samples_before_the_trip_instant() {
 
 #[test]
 fn the_recorder_never_changes_the_report() {
-    for cfg in [local_cfg(3, 11), coupled_cfg(3, 11)] {
+    // One configuration per engine: separable, coupled, and monolithic
+    // (2-site MB8 with α = 0).
+    let mut mono = mono_cfg(StandardWorkload::Mb8);
+    mono.metrics = None;
+    assert!(!shard::decomposable(&mono) && !shard::coupled_eligible(&mono));
+    for cfg in [local_cfg(3, 11), coupled_cfg(3, 11), mono] {
         let off = Sim::new(cfg.clone()).expect("valid").run();
         let mut on_cfg = cfg;
         on_cfg.metrics = Some(MetricsConfig::new(10.0));
