@@ -13,6 +13,10 @@ echo "== cargo build --release --examples" && cargo build --release --examples
 # plan that never heals slipping past validation) fails CI instead of
 # stalling it. Generous — the suite normally finishes in a fraction.
 echo "== cargo test -q (20 min timeout)" && timeout 1200 cargo test -q
+# The benchmark is a workspace of its own, so the step above does not
+# build it. Its tests compile its calls into the library and smoke-run
+# every workload, untraced and traced, against BENCHMARK.json.
+echo "== benchmark tests" && cargo test --manifest-path benchmark/Cargo.toml
 echo "== sweep determinism gate"
 cargo run --release -p carat-bench --bin exp -- bench --emit --threads 4 --out "${TMPDIR:-/tmp}/sweep_par.json"
 cargo run --release -p carat-bench --bin exp -- bench --emit --sequential --out "${TMPDIR:-/tmp}/sweep_seq.json"

@@ -10,8 +10,8 @@ pub const BLOCK_SIZE: usize = 512;
 /// Database records per block (paper §2: "stored six database records").
 pub const RECORDS_PER_BLOCK: usize = 6;
 
-/// Bytes per record slot: 6 × 85 = 510 bytes of payload; the remaining two
-/// bytes of the block are header padding.
+/// Bytes per record slot: 6 × 84 = 504 bytes of payload; the remaining
+/// eight bytes of the block are header padding.
 pub const RECORD_SIZE: usize = BLOCK_SIZE / RECORDS_PER_BLOCK - 1; // 84
 
 /// Identifies a record as (block, slot). Blocks are site-local.

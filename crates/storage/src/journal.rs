@@ -215,28 +215,60 @@ impl Journal {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    // Build the table at compile time.
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Reflected IEEE 802.3 CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[0][b]` is the
+/// CRC of byte `b` alone; `CRC_TABLES[k][b]` advances that by `k` zero
+/// bytes, so one lookup per byte of an 8-byte chunk covers the chunk.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), by slicing-by-8: eight
+/// table lookups per 8-byte chunk, then one per remaining byte. The tests
+/// check it against `crc32_bytewise`, a one-byte-at-a-time oracle, at
+/// every length up to 2,048 bytes and every start offset 0–7.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let v = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"))
+            ^ u64::from(crc);
+        crc = t[7][(v & 0xFF) as usize]
+            ^ t[6][((v >> 8) & 0xFF) as usize]
+            ^ t[5][((v >> 16) & 0xFF) as usize]
+            ^ t[4][((v >> 24) & 0xFF) as usize]
+            ^ t[3][((v >> 32) & 0xFF) as usize]
+            ^ t[2][((v >> 40) & 0xFF) as usize]
+            ^ t[1][((v >> 48) & 0xFF) as usize]
+            ^ t[0][(v >> 56) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -257,11 +289,42 @@ mod tests {
         }
     }
 
+    /// The oracle: one table lookup per byte, with the first table alone
+    /// (the check vector pins that table).
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // CRC-32 of "123456789" is 0xCBF43926 (IEEE check value).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_crc32_matches_bytewise_oracle() {
+        // Deterministic pseudo-random bytes (64-bit LCG, top byte).
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..2048 + 7)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=2048 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -308,11 +371,21 @@ mod tests {
         j.append_forced(&before_image(1, 0, 1));
         let first_end = j.len_bytes();
         j.append_forced(&before_image(2, 1, 2));
+        let frame_len = j.len_bytes() - first_end;
         j.append_forced(&before_image(3, 2, 3));
-        // Corrupt a byte inside the second frame's body.
-        j.corrupt_byte(first_end + 20);
-        let recs = j.scan();
-        assert_eq!(recs.len(), 1, "scan must stop at the corrupt frame");
+        // The second frame is magic 0..2, length 2..6, body 6..531 and
+        // stored CRC 531..535. The body is 525 = 65 × 8 + 5 bytes, so its
+        // last 5 bytes run the CRC's remainder loop.
+        assert_eq!(frame_len, 6 + 525 + 4);
+        for pos in 0..frame_len {
+            let mut bad = j.clone();
+            bad.corrupt_byte(first_end + pos);
+            assert_eq!(
+                bad.scan(),
+                [before_image(1, 0, 1)],
+                "scan must stop at the frame corrupted at byte {pos}"
+            );
+        }
     }
 
     #[test]
