@@ -3,7 +3,6 @@
 //! object per grid point) so downstream plotting needs no bespoke parser,
 //! and both are byte-identical for every `--threads` value.
 
-use carat::model::{solve_availability, DegradedMode, ModelConfig, ModelOptions, PartitionRegime};
 use carat::sim::{
     AvailabilityReport, DegradationPolicy, FaultPlan, PartitionPlan, Sim, SimConfig, SimReport,
     SplitSpec,
@@ -157,16 +156,6 @@ const POLICIES: [DegradationPolicy; 3] = [
     DegradationPolicy::StaleRead,
 ];
 const REPLICATION: [usize; 2] = [1, 2];
-/// Maximum allowed |model − sim| / sim on blended system throughput.
-const DIVERGENCE_TOL: f64 = 0.55;
-
-fn mode_of(p: DegradationPolicy) -> DegradedMode {
-    match p {
-        DegradationPolicy::Abort => DegradedMode::Abort,
-        DegradationPolicy::BlockUntilHeal => DegradedMode::BlockUntilHeal,
-        DegradationPolicy::StaleRead => DegradedMode::StaleRead,
-    }
-}
 
 fn partitioned_run(
     sites: usize,
@@ -217,31 +206,18 @@ fn partitioned_run(
 /// room. This sweeps the simulator's partition plan instead: a scheduled
 /// split covering a known fraction of the measurement window (the *duty
 /// cycle*), crossed with the replication factor and the degradation
-/// policy (`abort` / `block` / `stale`). Each grid point is compared
-/// against the availability-weighted analytical model
-/// (`carat_model::solve_availability`), which blends the connected and
-/// degraded fixed points by the same duty cycle.
+/// policy (`abort` / `block` / `stale`). No model prices a split: the
+/// paper's model assumes a connected cluster (EXPERIMENTS.md says why a
+/// duty-cycle blend fails).
 ///
 /// Gates at every point:
 ///
 /// * the commit audit must be clean (replication catch-up kept every
 ///   replica consistent);
 /// * nothing may hang (`oldest_inflight_ms` finite — 2PC terminates under
-///   partition via presumed-abort);
-/// * model-vs-sim system throughput divergence must stay inside
-///   [`DIVERGENCE_TOL`]. The partition-free MB4 band in
-///   `tests/model_vs_sim.rs` is 50 %; the blended regimes add duty-cycle
-///   boundary effects the steady-state mixture cannot see — transactions
-///   straddling the split edge freeze in presumed-abort termination and
-///   their abandoned locks shadow the survivors (the model prices this
-///   via the lock-shadow rule in `solve_availability`, emptying the
-///   degraded regime whenever the split denies every update a write
-///   quorum). Measured worst divergence is ~41 % (duty 0.5 on a single
-///   unreplicated split) at the 120 s window CI runs, so the gate is
-///   0.55. At the default 300 s window that point diverges by 88 % and
-///   the gate fails.
+///   partition via presumed-abort).
 ///
-/// A second, sim-only section exercises journal catch-up: with two sites
+/// A second section exercises journal catch-up: with two sites
 /// and `k = 2` the write quorum (`k/2 + 1 = 2`) equals write-all, so a
 /// commit can never leave a replica behind. Three sites with `k = 3`
 /// (quorum 2) and a `{0,1} | {2}` split commit through partial quorums,
@@ -261,9 +237,7 @@ pub fn partition(args: &Args, ms: f64) {
         partitioned_run(2, &[0, 1], policy, replication, duty, seed, ms)
     });
 
-    let opts = ModelOptions::default();
     let mut rows = Vec::new();
-    let mut worst = 0.0_f64;
     for (&(policy, replication, duty), runs) in points.iter().zip(reports.chunks(SEEDS.len())) {
         check_runs(
             runs,
@@ -275,36 +249,9 @@ pub fn partition(args: &Args, ms: f64) {
         };
         let pa = sum(|a| a.partition_aborts);
         let catchup = sum(|a| a.catchup_records);
-
-        let regime = PartitionRegime {
-            groups: vec![0, 1],
-            duty,
-            replication,
-            mode: mode_of(policy),
-            think_time_ms: 0.0,
-            timeout_ms: TIMEOUT_MS,
-        };
-        let mcfg = ModelConfig::new(StandardWorkload::Mb4.spec(2), N);
-        let m = solve_availability(&mcfg, &opts, &regime);
-        let model_tx = m.total_tx_per_s();
-        let div = if sim_tx > 0.0 {
-            (model_tx - sim_tx).abs() / sim_tx
-        } else {
-            0.0
-        };
-        worst = worst.max(div);
-        assert!(
-            div <= DIVERGENCE_TOL,
-            "model {model_tx:.3} vs sim {sim_tx:.3} tx/s diverge {:.0}% \
-             (policy={policy:?} k={replication} duty={duty}, gate {:.0}%)",
-            div * 100.0,
-            DIVERGENCE_TOL * 100.0
-        );
-
         rows.push(format!(
             "  {{\"policy\": \"{}\", \"replication\": {replication}, \
              \"duty\": {duty}, \"sim_tx_per_s\": {sim_tx:.4}, \
-             \"model_tx_per_s\": {model_tx:.4}, \"divergence\": {div:.4}, \
              \"partition_ms\": {:.1}, \"partition_aborts\": {pa}, \
              \"blocked_on_heal\": {}, \"stale_reads\": {}, \
              \"failovers\": {}, \"catchup_records\": {catchup}, \
@@ -317,16 +264,13 @@ pub fn partition(args: &Args, ms: f64) {
             oldest(runs),
         ));
         eprintln!(
-            "policy={:5} k={replication} duty={duty:4}: sim {sim_tx:.2} \
-             vs model {model_tx:.2} tx/s ({:.0}% off), {pa} partition aborts, \
-             {catchup} catch-up records",
+            "policy={:5} k={replication} duty={duty:4}: {sim_tx:.2} tx/s, \
+             {pa} partition aborts, {catchup} catch-up records",
             policy.label(),
-            div * 100.0
         );
     }
-    eprintln!("worst model-vs-sim divergence: {:.1}%", worst * 100.0);
 
-    // Sim-only journal catch-up section: 3 sites, k = 3 (write quorum 2),
+    // Journal catch-up section: 3 sites, k = 3 (write quorum 2),
     // split {0,1} | {2} for half the window. The majority component keeps
     // committing through partial quorums, so the isolated third replica
     // must drain catch-up records from the journal at heal.

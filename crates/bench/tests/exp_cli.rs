@@ -1,7 +1,8 @@
 //! Smoke test of the `exp` binary's command line: the two experiments
-//! that run no simulation succeed, and a bad command line (`exp bench`
-//! without a mode among them) fails with status 2 and a usage text naming
-//! every experiment.
+//! that run no simulation succeed, `exp partition` passes its gates at its
+//! default window, and a bad command line (`exp bench` without a mode
+//! among them) fails with status 2 and a usage text naming every
+//! experiment.
 
 use std::process::{Command, Output};
 
@@ -36,6 +37,25 @@ fn table1_and_table2_print_their_checks() {
             "{name}: {check}"
         );
     }
+}
+
+#[test]
+fn partition_passes_its_gates_at_the_default_window() {
+    let out = exp(&["partition", "--threads", "2"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    // A JSON array, one object per line: 3 policies × 2 replication
+    // factors × 3 duties, then the 3-site catch-up row.
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 21, "{stdout}");
+    assert_eq!((lines[0], lines[20]), ("[", "]"));
+    assert!(lines[1..20].iter().all(|l| l.starts_with("  {")));
+    assert!(!stdout.contains("model_tx_per_s"), "{stdout}");
+    let three_sites = lines[19];
+    assert!(three_sites.contains("\"sites\": 3"), "{three_sites}");
+    let catchup = three_sites.split("\"catchup_records\": ").nth(1).unwrap();
+    let catchup: u64 = catchup.split(',').next().unwrap().parse().unwrap();
+    assert!(catchup > 0, "{three_sites}");
 }
 
 #[test]

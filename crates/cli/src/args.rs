@@ -177,7 +177,7 @@ FLAGS:
     --tm                           model the TM serialisation center
     --probes                       Chandy–Misra–Haas probe messages
     --cc <2pl|bto|thomas>          concurrency control (sim; default 2pl)
-    --crash <secs:node>            inject a node crash (repeatable)
+    --crash <secs:node>            inject a node crash (sim; repeatable)
     --victim <requester|youngest>  deadlock victim policy (default requester)
     --drop <prob>                  message drop probability (sim; default 0)
     --dup <prob>                   message duplication probability (sim; default 0)
@@ -187,8 +187,8 @@ FLAGS:
     --net-timeout <ms>             message timeout before retransmission (sim)
     --net-retries <k>              retransmissions before presuming abort (sim)
     --split <at:heal[:groups]>     scheduled network split from second `at` to
-                                   second `heal` (repeatable); groups names the
-                                   component per site, e.g. 0,1 (the default)
+                                   second `heal` (sim; repeatable); groups names
+                                   the component per site, e.g. 0,1 (the default)
     --mtbp <secs>                  mean time between stochastic splits (sim; 0 = off)
     --mtth <secs>                  mean time to heal a stochastic split (sim)
     --degradation <abort|block|stale>  policy when a split leaves a transaction
@@ -485,9 +485,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Err("--metrics records a single deterministic run; drop --reps".into());
     }
     match cmd.as_str() {
-        "model" => model_sizes(&spec).map(|()| Command::Model(spec)),
+        "model" => model_sizes(&spec)
+            .and_then(|()| model_faults(&spec))
+            .map(|()| Command::Model(spec)),
         "sim" => Ok(Command::Sim(spec)),
-        "compare" => model_sizes(&spec).map(|()| Command::Compare(spec)),
+        "compare" => model_sizes(&spec)
+            .and_then(|()| model_faults(&spec))
+            .map(|()| Command::Compare(spec)),
         other => Err(format!("unknown command {other} (model|sim|compare|help)")),
     }
 }
@@ -515,6 +519,31 @@ fn model_sizes(spec: &RunSpec) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// No model here prices a split, a replica, a crash or a lossy network:
+/// the model assumes a connected cluster with no faults (the paper's
+/// centralized 2PC, Eqs. 21–24). Timeouts, retries, repair time and the
+/// degradation policy change nothing without a fault, so they pass.
+fn model_faults(spec: &RunSpec) -> Result<(), String> {
+    let (f, p) = (&spec.fault, &spec.partition);
+    let given = [
+        ("--split", !p.splits.is_empty()),
+        ("--mtbp", p.mtbp_ms != 0.0),
+        ("--replication", p.replication > 1),
+        ("--crash", !spec.crashes.is_empty()),
+        ("--drop", f.drop_prob != 0.0),
+        ("--dup", f.duplicate_prob != 0.0),
+        ("--jitter", f.jitter_ms != 0.0),
+        ("--mttf", f.mttf_ms != 0.0),
+    ];
+    match given.iter().find(|(_, on)| *on) {
+        Some((flag, _)) => Err(format!(
+            "{flag} is simulator-only: the model assumes a connected cluster \
+             with no faults (sim accepts it)"
+        )),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -782,6 +811,34 @@ mod tests {
         }
         // The simulator runs fractional slave participation.
         assert!(parse(&argv("sim --workload mb4 --sites 3 --n 2")).is_ok());
+    }
+
+    #[test]
+    fn model_rejects_simulator_only_failure_flags() {
+        for flags in [
+            "--split 90:240",
+            "--mtbp 300 --mtth 10",
+            "--replication 2",
+            "--crash 120:1",
+            "--drop 0.05",
+            "--dup 0.01",
+            "--jitter 2",
+            "--mttf 600",
+        ] {
+            let flag = flags.split_whitespace().next().unwrap();
+            for cmd in ["model", "compare"] {
+                let err = parse(&argv(&format!("{cmd} {flags}"))).unwrap_err();
+                assert!(err.starts_with(flag), "{cmd} {flags}: {err}");
+            }
+            assert!(parse(&argv(&format!("sim {flags}"))).is_ok(), "{flags}");
+        }
+        // Settings that change nothing without a fault, and the fault
+        // flags at their inert values, stay accepted.
+        let inert = "--net-timeout 80 --net-retries 4 --mttr 5 --degradation stale \
+                     --replication 1 --drop 0 --dup 0 --jitter 0 --mttf 0 --mtbp 0";
+        for cmd in ["model", "compare"] {
+            assert!(parse(&argv(&format!("{cmd} {inert}"))).is_ok(), "{cmd}");
+        }
     }
 
     #[test]

@@ -47,17 +47,12 @@
 //! assert!(report.nodes[0].tx_per_s > report.nodes[1].tx_per_s);
 //! ```
 
-pub mod availability;
 pub mod contention;
 pub mod demands;
 pub mod output;
 pub mod phases;
 pub mod solver;
 
-pub use availability::{
-    degraded_workload, replicated_n_requests, replicated_workload, solve_availability,
-    stochastic_duty, AvailabilityModelReport, BlendedNode, DegradedMode, PartitionRegime,
-};
 pub use output::{ConvergenceInfo, ModelNodeReport, ModelReport, ModelTypeReport};
 pub use phases::{Phase, TransitionMatrix, VisitCounts};
 pub use solver::WarmStart;
