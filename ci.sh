@@ -36,6 +36,15 @@ echo "== solver iteration regression gate"
 # Plain per-point counts within +10% of the pinned reference; accelerated
 # totals at most 70% of the plain total (DESIGN.md §12).
 cargo run --release -p carat-bench --bin exp -- bench --check-iters
+echo "== ablations gate"
+# exp ablations asserts its two qualitative claims and exits non-zero if
+# either fails: without deadlock modelling the model predicts less
+# throughput than the full model at n = 20, and with every lock exclusive
+# less at n = 8. Its table must also be byte-identical across thread
+# counts.
+cargo run --release -p carat-bench --bin exp -- ablations --threads 4 > "${TMPDIR:-/tmp}/ablations_par.txt"
+cargo run --release -p carat-bench --bin exp -- ablations --sequential > "${TMPDIR:-/tmp}/ablations_seq.txt"
+cmp "${TMPDIR:-/tmp}/ablations_par.txt" "${TMPDIR:-/tmp}/ablations_seq.txt"
 echo "== sim determinism gate"
 cargo run --release -p carat-bench --bin exp -- bench --emit-sim --threads 4 --out "${TMPDIR:-/tmp}/sim_par.json"
 cargo run --release -p carat-bench --bin exp -- bench --emit-sim --sequential --out "${TMPDIR:-/tmp}/sim_seq.json"

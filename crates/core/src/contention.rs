@@ -113,21 +113,8 @@ pub fn blocking_probability(
 
 /// `PB(t, s, i)` (paper Eq. 17), mode-aware: given that a lock request of a
 /// type-`t` transaction is blocked, the probability the blocker is of type
-/// `s`. Returned as a distribution over `chains` (summing to 1 when any
-/// conflict is possible).
-pub fn blocked_by_distribution(
-    me: ChainType,
-    chains: &[ChainLockState],
-    all_exclusive: bool,
-) -> Vec<f64> {
-    let mut out = vec![0.0; chains.len()];
-    blocked_by_distribution_into(me, chains, all_exclusive, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`blocked_by_distribution`]: writes the
-/// distribution into `out` (length = `chains.len()`). Bitwise-identical
-/// weights, sum, and normalisation.
+/// `s`. Written into `out` (length = `chains.len()`) as a distribution
+/// over `chains`, summing to 1 when any conflict is possible.
 pub fn blocked_by_distribution_into(
     me: ChainType,
     chains: &[ChainLockState],
@@ -169,14 +156,9 @@ pub fn blocked_by_distribution_into(
 /// fraction) *on a granule held by the specific `t` asking* (probability =
 /// `t`'s conflicting held locks over all locks conflicting with `s`'s
 /// request).
-pub fn deadlock_probability(me_idx: usize, chains: &[ChainLockState], all_exclusive: bool) -> f64 {
-    let mut pb_dist = vec![0.0; chains.len()];
-    deadlock_probability_scratch(me_idx, chains, all_exclusive, &mut pb_dist)
-}
-
-/// Allocation-free variant of [`deadlock_probability`]: the blocked-by
-/// distribution is computed into the caller's `pb_dist` buffer (resized as
-/// needed). Bitwise-identical result.
+///
+/// The blocked-by distribution is computed into the caller's `pb_dist`
+/// buffer (resized as needed).
 pub fn deadlock_probability_scratch(
     me_idx: usize,
     chains: &[ChainLockState],
@@ -230,38 +212,20 @@ pub fn blocking_ratio(n_lk: f64) -> f64 {
     (2.0 * n_lk + 1.0) / (6.0 * n_lk)
 }
 
-/// `RLT(s, i)` (paper Eq. 18) and `R_LW(t, i)` (paper Eq. 20): mean lock
-/// wait per blocked request of chain `me`, computed by simple relaxation
-/// against the blockers' *current* response times.
-///
-/// `fixed_br` overrides the blocking-ratio formula (ablation: the paper
-/// itself used the constant 1/3).
-///
-/// NOTE: at high contention (`N_lk·Pb·BR > 1`) iterating this relation
-/// diverges because a blocker's `R_s` contains its own lock waits; use
-/// [`lock_wait_times_consistent`] inside fixed-point solvers.
-pub fn lock_wait_time(
-    me: ChainType,
-    chains: &[ChainLockState],
-    all_exclusive: bool,
-    fixed_br: Option<f64>,
-) -> f64 {
-    let pb_dist = blocked_by_distribution(me, chains, all_exclusive);
-    let mut r_lw = 0.0;
-    for (s_idx, s) in chains.iter().enumerate() {
-        if pb_dist[s_idx] == 0.0 {
-            continue;
-        }
-        let br = fixed_br.unwrap_or_else(|| blocking_ratio(s.n_lk.max(1.0)));
-        r_lw += pb_dist[s_idx] * br * s.r_s;
-    }
-    r_lw
-}
-
 /// Maximum lock-wait inflation over the first-order wait `b(t)` — waiting
 /// chains are physically bounded by the site population and broken by
 /// deadlock aborts, so the geometric chain expansion must saturate.
 const MAX_CHAIN_INFLATION: f64 = 8.0;
+
+/// Reusable buffers for [`lock_wait_times_consistent_into`].
+#[derive(Debug, Clone, Default)]
+pub struct LockWaitScratch {
+    pb_dist: Vec<f64>,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    m: Vec<f64>,
+    x: Vec<f64>,
+}
 
 /// Solves Eqs. 18 + 20 *simultaneously* for every chain at a site.
 ///
@@ -281,32 +245,9 @@ const MAX_CHAIN_INFLATION: f64 = 8.0;
 /// (spectral radius ≥ 1 — analytic thrashing), the wait saturates at
 /// `MAX_CHAIN_INFLATION` (8×) times the first-order wait, reflecting the
 /// population bound on real waiting chains.
-pub fn lock_wait_times_consistent(
-    chains: &[ChainLockState],
-    all_exclusive: bool,
-    fixed_br: Option<f64>,
-) -> Vec<f64> {
-    let mut scratch = LockWaitScratch::default();
-    let mut out = Vec::new();
-    lock_wait_times_consistent_into(chains, all_exclusive, fixed_br, &mut scratch, &mut out);
-    out
-}
-
-/// Reusable buffers for [`lock_wait_times_consistent_into`].
-#[derive(Debug, Clone, Default)]
-pub struct LockWaitScratch {
-    pb_dist: Vec<f64>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    m: Vec<f64>,
-    x: Vec<f64>,
-}
-
-/// Allocation-free variant of [`lock_wait_times_consistent`]: all working
-/// storage lives in `scratch` and the wait times are written into `out`
-/// (cleared first). The assembly, elimination, and saturation cap are
-/// bit-for-bit those of the allocating entry point, so fixed-point loops
-/// can switch to this without perturbing converged values.
+///
+/// All working storage lives in `scratch`; the wait times are written
+/// into `out` (cleared first), one per chain.
 pub fn lock_wait_times_consistent_into(
     chains: &[ChainLockState],
     all_exclusive: bool,
@@ -353,7 +294,7 @@ pub fn lock_wait_times_consistent_into(
     }
     x.clear();
     x.extend_from_slice(b);
-    let solved = crate::phases_linalg_solve_in_place(m, x);
+    let solved = carat_qnet::solve_dense_in_place(m, x).is_ok();
     if solved && x.iter().all(|v| v.is_finite() && *v >= 0.0) {
         out.extend(
             x.iter()
@@ -510,31 +451,34 @@ mod tests {
             state(Lro, 2.0, 6.0),
             state(Duc, 1.0, 3.0),
         ];
-        let d = blocked_by_distribution(Lu, &chains, false);
+        let mut d = [0.0; 3];
+        blocked_by_distribution_into(Lu, &chains, false, &mut d);
         let sum: f64 = d.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         // Readers can only be blocked by the update chains.
-        let d = blocked_by_distribution(Lro, &chains, false);
+        blocked_by_distribution_into(Lro, &chains, false, &mut d);
         assert_eq!(d[1], 0.0);
         assert!(d[0] > 0.0 && d[2] > 0.0);
     }
 
     #[test]
     fn deadlock_needs_blocked_blockers() {
+        let pd = |chains: &[ChainLockState]| {
+            deadlock_probability_scratch(0, chains, false, &mut Vec::new())
+        };
         let mut chains = vec![state(Lu, 2.0, 9.0), state(Lro, 2.0, 6.0)];
         for c in &mut chains {
             c.blocked_frac = 0.0;
         }
-        assert_eq!(deadlock_probability(0, &chains, false), 0.0);
+        assert_eq!(pd(&chains), 0.0);
         // With blocked blockers the probability becomes positive for
         // writers…
         for c in &mut chains {
             c.blocked_frac = 0.2;
         }
-        assert!(deadlock_probability(0, &chains, false) > 0.0);
+        assert!(pd(&chains) > 0.0);
         // …and two pure readers can never deadlock with each other.
-        let readers = vec![state(Lro, 4.0, 8.0)];
-        assert_eq!(deadlock_probability(0, &readers, false), 0.0);
+        assert_eq!(pd(&[state(Lro, 4.0, 8.0)]), 0.0);
     }
 
     #[test]
@@ -549,16 +493,36 @@ mod tests {
 
     #[test]
     fn scratch_variants_are_bitwise_identical() {
+        // Scratch buffers reused across calls, first on a larger site,
+        // must give the bits that fresh buffers give.
         let chains = [
             state(Lu, 2.0, 9.0),
             state(Lro, 2.0, 6.0),
             state(Duc, 1.0, 3.0),
         ];
+        let larger = [
+            state(Dus, 3.0, 5.0),
+            state(Lu, 1.0, 2.0),
+            state(Dros, 2.0, 7.0),
+            state(Lro, 4.0, 4.0),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut scratch = LockWaitScratch::default();
         let mut out = Vec::new();
+        let mut buf = Vec::new();
+        lock_wait_times_consistent_into(&larger, true, None, &mut scratch, &mut out);
+        deadlock_probability_scratch(3, &larger, true, &mut buf);
         for all_exclusive in [false, true] {
             for fixed_br in [None, Some(1.0 / 3.0)] {
-                let fresh = lock_wait_times_consistent(&chains, all_exclusive, fixed_br);
+                let mut fresh = Vec::new();
+                let mut fresh_scratch = LockWaitScratch::default();
+                lock_wait_times_consistent_into(
+                    &chains,
+                    all_exclusive,
+                    fixed_br,
+                    &mut fresh_scratch,
+                    &mut fresh,
+                );
                 lock_wait_times_consistent_into(
                     &chains,
                     all_exclusive,
@@ -566,22 +530,14 @@ mod tests {
                     &mut scratch,
                     &mut out,
                 );
-                assert_eq!(fresh, out);
+                assert_eq!(bits(&fresh), bits(&out));
             }
-            let mut buf = Vec::new();
             for me_idx in 0..chains.len() {
-                let fresh = deadlock_probability(me_idx, &chains, all_exclusive);
+                let fresh =
+                    deadlock_probability_scratch(me_idx, &chains, all_exclusive, &mut Vec::new());
                 let reused = deadlock_probability_scratch(me_idx, &chains, all_exclusive, &mut buf);
-                assert!(fresh.to_bits() == reused.to_bits());
+                assert_eq!(fresh.to_bits(), reused.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn lock_wait_time_weighted_by_blocker() {
-        let chains = [state(Lu, 2.0, 9.0), state(Duc, 1.0, 9.0)];
-        let r_lw = lock_wait_time(Lro, &chains, false, Some(1.0 / 3.0));
-        // Both blockers have R_s = 1000 and equal weights ⇒ 1000/3.
-        assert!((r_lw - 1000.0 / 3.0).abs() < 1e-9);
     }
 }

@@ -57,11 +57,3 @@ pub use output::{ConvergenceInfo, ModelNodeReport, ModelReport, ModelTypeReport}
 pub use phases::{Phase, TransitionMatrix, VisitCounts};
 pub use solver::WarmStart;
 pub use solver::{Accel, Model, ModelConfig, ModelOptions};
-
-/// Internal: in-place dense solve returning `false` on singularity (thin
-/// wrapper so `contention` does not need its own linear-algebra import
-/// surface). Destroys `m`; overwrites `x` (the right-hand side) with the
-/// solution.
-pub(crate) fn phases_linalg_solve_in_place(m: &mut [f64], x: &mut [f64]) -> bool {
-    carat_qnet::solve_dense_in_place(m, x).is_ok()
-}

@@ -60,9 +60,10 @@ pub struct ModelNodeReport {
 /// How the damped fixed-point iteration ended.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ConvergenceInfo {
-    /// Whether the iteration met the tolerance before `max_iter`
-    /// (it practically always does; `false` means the damped iteration
-    /// ran out of iterations and the report is the last iterate).
+    /// Whether the iteration met the tolerance within the solver's
+    /// 400-iteration cap (it practically always does; `false` means the
+    /// damped iteration ran out of iterations and the report is the last
+    /// iterate).
     pub converged: bool,
     /// Fixed-point iterations used.
     pub iterations: usize,

@@ -1,11 +1,14 @@
 //! The fixed-point solution procedure (paper §6).
 //!
-//! Each iteration: update abort probabilities and visit counts, assemble
-//! service demands, solve every site's closed multi-chain network by MVA,
-//! then refresh the contention quantities (`L_h`, `Pb`, `Pd`, `R_LW`) and
-//! the distributed synchronization delays (`R_RW`, `R_CW`, `Pra`) from the
-//! MVA results. Updates are damped because the `Pb ↔ L_h ↔ R` loop
-//! oscillates at high contention.
+//! The model is a decomposition: per-site MVA, the concurrency-control
+//! submodels (Eqs. 11–20) and the distributed submodels (Eqs. 21–24) hand
+//! quantities to each other until they agree. Each iteration runs one
+//! update per submodel ([`FixedPoint`]): aborts and visit counts, demand
+//! assembly and the per-site MVA, lock contention (`L_h`, `Pb`, `Pd`,
+//! `R_LW`), and the distributed delays (`R_RW`, `R_CW`, `Pra`). The damped
+//! update then moves the state toward the proposed values, because the
+//! `Pb ↔ L_h ↔ R` loop oscillates at high contention, and an optional
+//! Anderson step ([`Accel`]) extrapolates.
 
 use std::collections::BTreeMap;
 
@@ -45,7 +48,7 @@ impl ModelConfig {
 
 /// Outer-loop acceleration of the damped fixed-point iteration
 /// (DESIGN.md §12). Anderson mixing operates on the flattened per-chain
-/// contention state vector (`Pb`, `Pd`, `R_LW`, `R_RW`, `R_CWC`, `R_CWA`,
+/// damped state vector (`Pb`, `Pd`, `R_LW`, `R_RW`, `R_CWC`, `R_CWA`,
 /// `Pra`) and is safeguarded: a candidate that leaves the [0, 1] /
 /// positivity bounds is discarded before being applied, and an applied
 /// step whose follow-up residual grows is rolled back to the plain damped
@@ -80,12 +83,8 @@ pub const DEFAULT_ANDERSON_DEPTH: usize = 3;
 /// Solver knobs and ablation switches (DESIGN.md §9).
 #[derive(Debug, Clone)]
 pub struct ModelOptions {
-    /// Damping factor λ for state updates (new = λ·computed + (1−λ)·old).
-    pub damping: f64,
-    /// Convergence tolerance on the damped state.
+    /// Convergence tolerance on the undamped residual.
     pub tol: f64,
-    /// Iteration cap.
-    pub max_iter: usize,
     /// Outer-loop acceleration (see [`Accel`]; `Off` keeps the solve
     /// byte-identical to the plain damped iteration).
     pub accel: Accel,
@@ -116,9 +115,7 @@ pub struct ModelOptions {
 impl Default for ModelOptions {
     fn default() -> Self {
         ModelOptions {
-            damping: 0.5,
             tol: 1e-9,
-            max_iter: 400,
             accel: Accel::Off,
             ignore_deadlocks: false,
             all_locks_exclusive: false,
@@ -130,16 +127,38 @@ impl Default for ModelOptions {
     }
 }
 
+/// Damping factor λ of the state update: new = λ·computed + (1 − λ)·old.
+const DAMPING: f64 = 0.5;
+
+/// Iteration cap. A solve that has not met the tolerance by then reports
+/// its last iterate with `ConvergenceInfo::converged` false.
+const MAX_ITER: usize = 400;
+
+/// Number of damped quantities per chain. Their one order is fixed by the
+/// index constants [`PB`] … [`PRA`]: the submodels propose values at those
+/// indices, and the damped update, the accelerator's flat state vector and
+/// its bounds screen all read them the same way.
+const N_DAMPED: usize = 7;
+/// `Pb`: blocking probability per lock request (Eq. 15).
+const PB: usize = 0;
+/// `Pd`: deadlock-victim probability per blocked request.
+const PD: usize = 1;
+/// `R_LW`: lock wait per blocked request (Eq. 20).
+const R_LW: usize = 2;
+/// `R_RW`: remote wait (Eqs. 21–24).
+const R_RW: usize = 3;
+/// `R_CWC`: commit wait after a commit decision.
+const R_CWC: usize = 4;
+/// `R_CWA`: commit wait after an abort decision.
+const R_CWA: usize = 5;
+/// `Pra`: remote-abort probability per remote wait.
+const PRA: usize = 6;
+
 /// Mutable per-chain solver state.
 #[derive(Debug, Clone, Default)]
 struct ChainState {
-    pb: f64,
-    pd: f64,
-    pra: f64,
-    r_lw: f64,
-    r_rw: f64,
-    r_cwc: f64,
-    r_cwa: f64,
+    /// The damped quantities, indexed by [`PB`] … [`PRA`].
+    damped: [f64; N_DAMPED],
     /// MVA commit-to-commit cycle time.
     r_cycle: f64,
     /// Successful-execution time.
@@ -177,11 +196,6 @@ pub struct WarmStart {
     st: Vec<ChainState>,
 }
 
-/// Number of accelerated state quantities per chain — the damped state
-/// vector in update order: `Pb`, `Pd`, `R_LW`, `R_RW`, `R_CWC`, `R_CWA`,
-/// `Pra`.
-const ACCEL_FIELDS: usize = 7;
-
 /// Plain damped iterations to complete before the first acceleration
 /// attempt (lets the cold-start transient settle).
 const ACCEL_START: usize = 3;
@@ -198,11 +212,8 @@ const ACCEL_MAX_AMPLIFICATION: f64 = 100.0;
 
 /// The Anderson extrapolation acts on the *undamped* residual: the history
 /// stores damped steps `f = λ·f_raw`, so the mixing term is rescaled by
-/// `1/λ` (with λ = 0.5, [`ModelOptions::damping`]'s default — acceleration
-/// bakes this in rather than reading the option because a non-default λ is
-/// an ablation knob, and a mis-scaled candidate is merely less effective,
-/// never wrong: the safeguards below still screen it).
-const INV_DAMP: f64 = 2.0;
+/// `1/λ` ([`DAMPING`]).
+const INV_DAMP: f64 = 1.0 / DAMPING;
 
 /// Retro-check grace: an applied accelerated step is kept as long as the
 /// follow-up residual stays below this multiple of the residual at the
@@ -215,7 +226,7 @@ const ANDERSON_GRACE: f64 = 2.0;
 /// History pairs kept: Anderson(m) mixes the last m + 1.
 const ANDERSON_HISTORY: usize = DEFAULT_ANDERSON_DEPTH + 1;
 
-/// Safeguarded Anderson accelerator over the flattened contention state
+/// Safeguarded Anderson accelerator over the flattened damped state
 /// (see [`Accel`]). The engine watches the plain damped iteration
 /// `x_{i+1} = G(x_i)` (where `G` already includes the damping), keeps a
 /// short history of iterates `x_i` and residuals `f_i = G(x_i) − x_i`,
@@ -248,7 +259,7 @@ struct AccelEngine {
 
 impl AccelEngine {
     fn new(st: &[ChainState]) -> Self {
-        let dim = st.len() * ACCEL_FIELDS;
+        let dim = st.len() * N_DAMPED;
         let mut eng = AccelEngine {
             hist_x: Vec::new(),
             hist_f: Vec::new(),
@@ -266,36 +277,70 @@ impl AccelEngine {
         eng
     }
 
-    /// Flattens the damped state quantities of every chain into `out`.
+    /// Flattens the damped quantities of every chain into `out`.
     fn extract(st: &[ChainState], out: &mut [f64]) {
-        for (k, s) in st.iter().enumerate() {
-            let b = k * ACCEL_FIELDS;
-            out[b] = s.pb;
-            out[b + 1] = s.pd;
-            out[b + 2] = s.r_lw;
-            out[b + 3] = s.r_rw;
-            out[b + 4] = s.r_cwc;
-            out[b + 5] = s.r_cwa;
-            out[b + 6] = s.pra;
+        for (o, s) in out.chunks_exact_mut(N_DAMPED).zip(st) {
+            o.copy_from_slice(&s.damped);
         }
     }
 
-    /// Writes the candidate back into the chain states.
-    fn inject_candidate(&self, st: &mut [ChainState]) {
-        for (k, s) in st.iter_mut().enumerate() {
-            let b = k * ACCEL_FIELDS;
-            s.pb = self.cand[b];
-            s.pd = self.cand[b + 1];
-            s.r_lw = self.cand[b + 2];
-            s.r_rw = self.cand[b + 3];
-            s.r_cwc = self.cand[b + 4];
-            s.r_cwa = self.cand[b + 5];
-            s.pra = self.cand[b + 6];
+    /// The Anderson step that follows the damped update of an iteration
+    /// whose residual was `delta`. A pending accelerated step is first
+    /// retro-checked: if the residual grew beyond [`ANDERSON_GRACE`], `st`
+    /// is rolled back to the damped iterate the step replaced. Otherwise
+    /// the plain step joins the history and, unless converged, cooling
+    /// down or before [`ACCEL_START`], a screened candidate replaces `st`.
+    /// Returns the iteration's log marker (`""`, `"acc"` or `"rej"`) and
+    /// whether the state was restored.
+    fn step(
+        &mut self,
+        st: &mut Vec<ChainState>,
+        delta: f64,
+        iterations: usize,
+        tol: f64,
+    ) -> (&'static str, bool) {
+        let mut marker = "";
+        let mut restored = false;
+        if self.pending {
+            self.pending = false;
+            if delta > ANDERSON_GRACE * self.pending_residual && delta >= tol {
+                st.clone_from(&self.snapshot);
+                self.hist_x.clear();
+                self.hist_f.clear();
+                self.rejected += 1;
+                self.cooldown = ACCEL_COOLDOWN;
+                marker = "rej";
+                restored = true;
+            } else {
+                self.accepted += 1;
+            }
         }
+        if !restored {
+            self.record(st);
+            if delta >= tol {
+                if self.cooldown > 0 {
+                    self.cooldown -= 1;
+                } else if iterations >= ACCEL_START
+                    && self.candidate()
+                    && self.candidate_in_bounds()
+                {
+                    self.snapshot.clone_from(st);
+                    self.pending = true;
+                    self.pending_residual = delta;
+                    for (s, c) in st.iter_mut().zip(self.cand.chunks_exact(N_DAMPED)) {
+                        s.damped.copy_from_slice(c);
+                    }
+                    marker = "acc";
+                }
+            }
+        }
+        // The next iteration starts from whatever `st` holds now: damped,
+        // restored, or accelerated.
+        Self::extract(st, &mut self.x_prev);
+        (marker, restored)
     }
 
-    /// Records the completed plain step `x_prev → st` as a history pair
-    /// and rolls `x_prev` forward.
+    /// Records the completed plain step `x_prev → st` as a history pair.
     fn record(&mut self, st: &[ChainState]) {
         Self::extract(st, &mut self.x_curr);
         let f: Vec<f64> = self
@@ -312,61 +357,32 @@ impl AccelEngine {
         }
     }
 
-    /// Forgets the Picard history (after a rollback, the stored pairs no
-    /// longer describe consecutive steps).
-    fn clear_history(&mut self) {
-        self.hist_x.clear();
-        self.hist_f.clear();
-    }
-
-    /// Rolls `x_prev` forward to the state the next iteration starts from
-    /// (damped, restored, or accelerated — whatever `st` holds now).
-    fn roll(&mut self, st: &[ChainState]) {
-        Self::extract(st, &mut self.x_prev);
-    }
-
-    /// Builds an extrapolated candidate in `self.cand` from the current
-    /// history. Returns `false` when the history is too short or the
-    /// extrapolation is numerically unusable; `true` means `cand` holds a
-    /// candidate that differs from the plain damped iterate.
-    fn try_candidate(&mut self) -> bool {
-        if self.hist_x.len() < 2 || !self.anderson_candidate() {
-            return false;
-        }
-        // A candidate equal to the damped iterate would make the pending
-        // bookkeeping a pure no-op; skip it.
-        self.cand.iter().zip(&self.x_curr).any(|(c, x)| c != x)
-    }
-
-    /// Anderson mixing (type II) over the stored pairs: solve the
-    /// regularised normal equations
+    /// Builds an Anderson (type II) candidate in `self.cand` from the
+    /// stored pairs: solve the regularised normal equations
     /// `(ΔFᵀΔF + εI) γ = ΔFᵀ f_last` (γ is invariant under uniform
     /// rescaling of the residuals) and extrapolate on the undamped
     /// residuals `f/λ` (see [`INV_DAMP`]):
-    /// `x* = x_last + f_last/λ − Σ γᵢ (ΔXᵢ + ΔFᵢ/λ)`.
-    fn anderson_candidate(&mut self) -> bool {
+    /// `x* = x_last + f_last/λ − Σ γᵢ (ΔXᵢ + ΔFᵢ/λ)`. Returns `false` when
+    /// the history is too short, the extrapolation is numerically
+    /// unusable, or the candidate equals the damped iterate (which would
+    /// make the pending bookkeeping a pure no-op).
+    fn candidate(&mut self) -> bool {
         let k = self.hist_f.len();
+        if k < 2 {
+            return false;
+        }
         let cols = k - 1;
         let dim = self.cand.len();
         let f_last = &self.hist_f[k - 1];
-        let dot = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
         let df = |i: usize, c: usize| self.hist_f[i + 1][c] - self.hist_f[i][c];
         let dx = |i: usize, c: usize| self.hist_x[i + 1][c] - self.hist_x[i][c];
         let mut g = vec![0.0f64; cols * cols];
         let mut rhs = vec![0.0f64; cols];
-        let mut dfi = vec![0.0f64; dim];
-        let mut dfj = vec![0.0f64; dim];
         for i in 0..cols {
-            for (c, v) in dfi.iter_mut().enumerate() {
-                *v = df(i, c);
-            }
             for j in 0..cols {
-                for (c, v) in dfj.iter_mut().enumerate() {
-                    *v = df(j, c);
-                }
-                g[i * cols + j] = dot(&dfi, &dfj);
+                g[i * cols + j] = (0..dim).map(|c| df(i, c) * df(j, c)).sum();
             }
-            rhs[i] = dot(&dfi, f_last);
+            rhs[i] = (0..dim).map(|c| df(i, c) * f_last[c]).sum();
         }
         let trace: f64 = (0..cols).map(|i| g[i * cols + i]).sum();
         let eps = 1e-10 * trace.max(1e-300);
@@ -386,7 +402,7 @@ impl AccelEngine {
             }
             self.cand[c] = v;
         }
-        true
+        self.cand.iter().zip(&self.x_curr).any(|(c, x)| c != x)
     }
 
     /// Screens the candidate: finite, probabilities in [0, 1], waits
@@ -403,9 +419,9 @@ impl AccelEngine {
             if !v.is_finite() || (v - self.x_curr[i]).abs() > max_step {
                 return false;
             }
-            match i % ACCEL_FIELDS {
-                0 | 1 | 6 => (0.0..=1.0).contains(&v), // Pb, Pd, Pra
-                _ => v >= 0.0,                         // residence times
+            match i % N_DAMPED {
+                PB | PD | PRA => (0.0..=1.0).contains(&v),
+                _ => v >= 0.0, // residence times
             }
         })
     }
@@ -446,6 +462,397 @@ impl SiteSolver {
             self.net
                 .solve_approx_into(1e-10, 20_000, &mut self.scratch, &mut self.out);
         }
+    }
+}
+
+/// Queueing inflation `1/(1 − U)` of a residence at a center of
+/// utilization `U`, with `U` capped at 0.95 and the factor at 5.
+fn inflation(u: f64) -> f64 {
+    (1.0 / (1.0 - u.min(0.95))).min(5.0)
+}
+
+/// Table 1's transition matrix of a local or coordinator chain, or its
+/// slave analogue, under the chain's current hazards `Pb`, `Pd`, `Pra`.
+fn transition_matrix(ctx: &ChainCtx, s: &ChainState) -> TransitionMatrix {
+    let hz = Hazards {
+        pb: s.damped[PB],
+        pd: s.damped[PD],
+        pra: s.damped[PRA],
+    };
+    if ctx.chain.is_slave() {
+        TransitionMatrix::slave(ctx.l, ctx.q, hz)
+    } else {
+        TransitionMatrix::local_or_coordinator(ctx.n, ctx.l, ctx.r, ctx.q, hz)
+    }
+}
+
+/// The submodels of one solve and the buffers they reuse across
+/// iterations, so the submodel updates run allocation-free. Each method is
+/// one submodel's update over the chain states; an iteration calls them in
+/// declaration order.
+struct FixedPoint<'a> {
+    params: &'a SystemParams,
+    opts: &'a ModelOptions,
+    ctxs: &'a [ChainCtx],
+    /// Per-site networks and MVA buffers. Topology and populations are
+    /// fixed; only the demands change between iterations.
+    solvers: Vec<SiteSolver>,
+    /// Threads for the per-site MVA: 1 unless parallel solves were asked
+    /// for and some site's lattice is large enough to pay for them.
+    threads: usize,
+    /// Per site, the (CPU, disk) [`inflation`] of the latest MVA pass.
+    site_inflation: Vec<(f64, f64)>,
+    traffic: TrafficScratch,
+    visits: Vec<VisitCounts>,
+    /// This iteration's undamped proposals, indexed like
+    /// [`ChainState::damped`].
+    proposed: Vec<[f64; N_DAMPED]>,
+    /// Each chain's undamped residual in this iteration.
+    chain_delta: Vec<f64>,
+    locks: Vec<ChainLockState>,
+    lw_scratch: LockWaitScratch,
+    rlw_site: Vec<f64>,
+    pd_dist: Vec<f64>,
+}
+
+impl<'a> FixedPoint<'a> {
+    fn new(params: &'a SystemParams, opts: &'a ModelOptions, ctxs: &'a [ChainCtx]) -> Self {
+        let solvers: Vec<SiteSolver> = (0..params.sites())
+            .map(|site| {
+                let site_idx: Vec<usize> =
+                    (0..ctxs.len()).filter(|&k| ctxs[k].site == site).collect();
+                let mut net = Network::new();
+                let cpu = net.add_center("CPU", CenterKind::Queueing);
+                let disk = net.add_center("DISK", CenterKind::Queueing);
+                let log_disk = opts
+                    .separate_log_disk
+                    .then(|| net.add_center("LOG", CenterKind::Queueing));
+                let tm = opts
+                    .model_tm_serialization
+                    .then(|| net.add_center("TM", CenterKind::Queueing));
+                let delay = net.add_center("DELAY", CenterKind::Delay);
+                for &k in &site_idx {
+                    net.add_chain(ctxs[k].chain.label(), ctxs[k].population);
+                }
+                SiteSolver {
+                    site_idx,
+                    net,
+                    cpu,
+                    disk,
+                    log_disk,
+                    tm,
+                    delay,
+                    scratch: MvaScratch::default(),
+                    out: MvaSolution::empty(),
+                }
+            })
+            .collect();
+        let parallel = solvers
+            .iter()
+            .any(|sv| sv.net.lattice_size() >= PARALLEL_LATTICE_MIN);
+        let n = ctxs.len();
+        FixedPoint {
+            params,
+            opts,
+            ctxs,
+            threads: if parallel {
+                opts.threads.clamp(1, solvers.len().max(1))
+            } else {
+                1
+            },
+            site_inflation: vec![(0.0, 0.0); solvers.len()],
+            solvers,
+            traffic: TrafficScratch::default(),
+            visits: (0..n).map(|_| VisitCounts::zero()).collect(),
+            proposed: vec![[0.0; N_DAMPED]; n],
+            chain_delta: vec![0.0; n],
+            locks: Vec::with_capacity(n),
+            lw_scratch: LockWaitScratch::default(),
+            rlw_site: Vec::with_capacity(n),
+            pd_dist: Vec::with_capacity(n),
+        }
+    }
+
+    /// Aborts and visits: the per-lock abort hazard `p = Pb·Pd`, the
+    /// fraction of locks held at an abort σ = E[Y]/N_lk (Eq. 11), the
+    /// abort probability `P_a` (Eq. 3) from lock and remote aborts, the
+    /// submissions per commit `N_s = 1/(1 − P_a)` (Eq. 4), and the visit
+    /// counts of the chain's transition matrix (Eq. 1).
+    fn aborts_and_visits(&mut self, st: &mut [ChainState]) {
+        for (k, ctx) in self.ctxs.iter().enumerate() {
+            let s = &mut st[k];
+            let p = (s.damped[PB] * s.damped[PD]).clamp(0.0, 0.999_999);
+            s.sigma = sigma(p, ctx.n_lk.max(1.0));
+            let survive_locks = (1.0 - p).powf(ctx.n_lk);
+            let survive_remote = match ctx.chain {
+                ChainType::Droc | ChainType::Duc => (1.0 - s.damped[PRA]).powf(ctx.r),
+                ChainType::Dros | ChainType::Dus => (1.0 - s.damped[PRA]).powf(ctx.l),
+                _ => 1.0,
+            };
+            s.p_a = (1.0 - survive_locks * survive_remote).clamp(0.0, 0.95);
+            s.n_s = 1.0 / (1.0 - s.p_a);
+            transition_matrix(ctx, s).visit_counts_into(&mut self.traffic, &mut self.visits[k]);
+        }
+    }
+
+    /// Demand assembly (Eqs. 5–10) and the per-site MVA: sets every chain's
+    /// demands at its site's CPU, disk (and log disk), TM shadow center
+    /// and delay center, solves every site's closed network, and reads
+    /// back each chain's throughput `X`, cycle time and successful
+    /// execution time `R_s`, and each site's CPU and disk inflation.
+    fn site_mva(&mut self, st: &mut [ChainState]) {
+        let (params, opts, ctxs) = (self.params, self.opts, self.ctxs);
+        for sv in &mut self.solvers {
+            for (chain_id, &k) in sv.site_idx.iter().enumerate() {
+                let ctx = &ctxs[k];
+                let s = &mut st[k];
+                let v = &self.visits[k];
+                let costs = phase_costs(params, ctx, s.sigma);
+                let d = demands(
+                    params,
+                    v,
+                    &costs,
+                    &DelayTimes {
+                        lw: s.damped[R_LW],
+                        rw: s.damped[R_RW],
+                        cwc: s.damped[R_CWC],
+                        cwa: s.damped[R_CWA],
+                    },
+                    s.n_s,
+                );
+                sv.net.set_demand(chain_id, sv.cpu, d.cpu);
+                match sv.log_disk {
+                    Some(log_c) => {
+                        sv.net.set_demand(chain_id, sv.disk, d.disk);
+                        sv.net.set_demand(chain_id, log_c, d.log);
+                    }
+                    None => {
+                        // Shared device (the testbed's forced layout).
+                        sv.net.set_demand(chain_id, sv.disk, d.disk + d.log);
+                    }
+                }
+                sv.net.set_demand(chain_id, sv.delay, d.delay);
+                if let Some(tm) = sv.tm {
+                    // Shadow-server approximation of the serialised TM:
+                    // all TM-phase CPU plus the forced commit write.
+                    let tm_demand = s.n_s
+                        * (v.get(Phase::Tm) * costs.cpu[Phase::Tm.idx()]
+                            + v.get(Phase::Tc) * costs.cpu[Phase::Tc.idx()]
+                            + v.get(Phase::Tcio) * costs.disk[Phase::Tcio.idx()]);
+                    sv.net.set_demand(chain_id, tm, tm_demand);
+                }
+                s.ios_per_cycle = d.ios;
+                s.log_ios_per_cycle = d.log_ios;
+                s.cpu_demand = d.cpu;
+                (s.disk_demand, s.log_demand) = if opts.separate_log_disk {
+                    (d.disk, d.log)
+                } else {
+                    (d.disk + d.log, 0.0)
+                };
+            }
+        }
+
+        // Sites are independent closed networks: solve them concurrently
+        // when allowed and worthwhile. Each solve writes only its own
+        // buffers with arithmetic identical to the sequential path, so the
+        // results are bitwise equal for any thread count.
+        if self.threads > 1 {
+            let per = self.solvers.len().div_ceil(self.threads);
+            std::thread::scope(|scope| {
+                for chunk in self.solvers.chunks_mut(per) {
+                    scope.spawn(move || {
+                        for sv in chunk {
+                            sv.run();
+                        }
+                    });
+                }
+            });
+        } else {
+            for sv in &mut self.solvers {
+                sv.run();
+            }
+        }
+
+        for (site, sv) in self.solvers.iter().enumerate() {
+            for (pos, &k) in sv.site_idx.iter().enumerate() {
+                let s = &mut st[k];
+                s.x = sv.out.throughput[pos];
+                s.r_cycle = sv.out.response[pos];
+                let think = s.n_s * params.think_time_ms;
+                s.r_s = ((s.r_cycle - think) / (1.0 + (s.n_s - 1.0) * s.sigma)).max(1e-9);
+            }
+            self.site_inflation[site] = (
+                inflation(sv.out.utilization[sv.cpu]),
+                inflation(sv.out.utilization[sv.disk]),
+            );
+        }
+    }
+
+    /// Lock contention (Eqs. 14–20), site by site: each chain's
+    /// time-average locks held `L_h` (Eq. 14) and blocked-time fraction,
+    /// then the proposed `Pb` (Eq. 15), `Pd` (two-cycle victims over the
+    /// Eq. 17 blocked-by distribution, DESIGN.md §6) and `R_LW` (Eqs.
+    /// 18–20, solved simultaneously for the site's chains).
+    fn lock_contention(&mut self, st: &mut [ChainState]) {
+        let (params, opts, ctxs) = (self.params, self.opts, self.ctxs);
+        for sv in &self.solvers {
+            for &k in &sv.site_idx {
+                let ctx = &ctxs[k];
+                let s = &mut st[k];
+                s.l_h = locks_held(ctx.n_lk, s.sigma, s.p_a, s.r_s, params.think_time_ms);
+                s.blocked_frac = if s.r_cycle > 0.0 {
+                    (s.n_s * ctx.n_lk * s.damped[PB] * s.damped[R_LW] / s.r_cycle).clamp(0.0, 0.9)
+                } else {
+                    0.0
+                };
+            }
+            self.locks.clear();
+            self.locks.extend(sv.site_idx.iter().map(|&k| {
+                let s = &st[k];
+                let v = &self.visits[k];
+                // B(t): the wait-free part of R_s — what the blocker
+                // actually *does* while holding locks. Both the lock-wait
+                // echo (same site) and the remote-wait echo (other site's
+                // lock waits reflected through RW gaps) are removed;
+                // without this the cross-site R_LW loop is slowly
+                // supercritical and the iteration drifts into an
+                // unphysical thrashing solution. B is anchored to the pure
+                // service content per execution: at least 1× (can't be
+                // faster than service), at most 6× (bounded queueing
+                // inflation at sub-saturation utilizations).
+                let lw_content = ctxs[k].n_lk * s.damped[PB] * s.damped[R_LW];
+                let rw_cw_content =
+                    v.get(Phase::Rw) * s.damped[R_RW] + v.get(Phase::Cwc) * s.damped[R_CWC];
+                let service = (s.cpu_demand + s.disk_demand) / s.n_s;
+                let useful =
+                    (s.r_s - lw_content - rw_cw_content).clamp(service, 6.0 * service.max(1e-9));
+                ChainLockState {
+                    chain: ctxs[k].chain,
+                    population: ctxs[k].population as f64,
+                    l_h: s.l_h,
+                    n_lk: ctxs[k].n_lk,
+                    blocked_frac: s.blocked_frac,
+                    r_s: s.r_s,
+                    useful,
+                    pb: s.damped[PB],
+                    pd: s.damped[PD],
+                }
+            }));
+            lock_wait_times_consistent_into(
+                &self.locks,
+                opts.all_locks_exclusive,
+                opts.fixed_br,
+                &mut self.lw_scratch,
+                &mut self.rlw_site,
+            );
+            for (pos, &k) in sv.site_idx.iter().enumerate() {
+                let p = &mut self.proposed[k];
+                p[PB] = blocking_probability(
+                    ctxs[k].chain,
+                    &self.locks,
+                    params.effective_granules(),
+                    opts.all_locks_exclusive,
+                );
+                p[PD] = if opts.ignore_deadlocks {
+                    0.0
+                } else {
+                    deadlock_probability_scratch(
+                        pos,
+                        &self.locks,
+                        opts.all_locks_exclusive,
+                        &mut self.pd_dist,
+                    )
+                };
+                p[R_LW] = self.rlw_site[pos];
+            }
+        }
+    }
+
+    /// Distributed delays (Eqs. 21–24): for every coordinator and slave
+    /// chain, the proposed remote wait `R_RW`, commit waits `R_CWC` and
+    /// `R_CWA`, and remote-abort probability `Pra`, read off its partner
+    /// chains at the other sites and their sites' queueing inflation.
+    /// `R_CWA` is one round trip (2α); `R_CWC` adds the slowest partner's
+    /// commit processing to two round trips for a coordinator and one for
+    /// a slave. Local chains, and chains without partners, propose zeros.
+    fn distributed_delays(&mut self, st: &[ChainState]) {
+        let (params, ctxs) = (self.params, self.ctxs);
+        let alpha = params.comm_delay_ms;
+        for (k, ctx) in ctxs.iter().enumerate() {
+            let p = &mut self.proposed[k];
+            (p[R_RW], p[R_CWC], p[R_CWA], p[PRA]) = (0.0, 0.0, 0.0, 0.0);
+            let Some(partner) = ctx.chain.counterpart() else {
+                continue;
+            };
+            let slave = ctx.chain.is_slave();
+            let mut rw_sum = 0.0;
+            let mut cw_max: f64 = 0.0;
+            let mut survive = 1.0;
+            let mut partners = 0.0;
+            for (j, pc) in ctxs.iter().enumerate() {
+                if pc.chain != partner || pc.site == ctx.site {
+                    continue;
+                }
+                let ps = &st[j];
+                let (infl_cpu, infl_disk) = self.site_inflation[pc.site];
+                let commit_io = params.basic.commit_ios(partner) as f64
+                    * params.nodes[pc.site].disk_io_ms
+                    * infl_disk;
+                if slave {
+                    // `pc` is a coordinator this slave serves. Its gap
+                    // between remote requests, and its commit decision
+                    // (half its TC CPU plus its forced commit write).
+                    let decision = params.basic.tc_cpu(partner) / 2.0 * infl_cpu + commit_io;
+                    let gap = ((ps.r_s - pc.r * ps.damped[R_RW] - ps.damped[R_CWC])
+                        / pc.r.max(1.0))
+                    .max(0.0);
+                    rw_sum += gap + 2.0 * alpha;
+                    cw_max = cw_max.max(2.0 * alpha + decision);
+                    // Coordinator-side aborts per slave wait: the
+                    // coordinator acquires N_lk(c)/r locks per gap.
+                    survive *= (1.0 - ps.damped[PB] * ps.damped[PD]).powf(pc.n_lk / pc.r.max(1.0));
+                } else {
+                    // `pc` is a slave of this coordinator: its time
+                    // actively serving one remote request is its
+                    // successful execution minus its own waits and commit
+                    // processing, per request.
+                    let commit = params.basic.tc_cpu(partner) * infl_cpu + commit_io;
+                    rw_sum += ((ps.r_s - pc.l * ps.damped[R_RW] - commit) / pc.l).max(0.0);
+                    cw_max = cw_max.max(commit);
+                    survive *= (1.0 - ps.damped[PB] * ps.damped[PD]).powf(pc.q);
+                }
+                partners += 1.0;
+            }
+            if partners > 0.0 {
+                (p[R_RW], p[R_CWC]) = if slave {
+                    (rw_sum / partners, cw_max)
+                } else {
+                    (2.0 * alpha + rw_sum / partners, 4.0 * alpha + cw_max)
+                };
+                p[R_CWA] = 2.0 * alpha;
+                p[PRA] = 1.0 - survive;
+            }
+        }
+    }
+
+    /// The damped update `x ← λ·proposed + (1 − λ)·x` ([`DAMPING`]) of
+    /// every chain's damped quantities, the step of the paper's §6 fixed
+    /// point iteration. Records each chain's residual and
+    /// returns their maximum. Convergence is judged on the *undamped* step
+    /// `|proposed − x| / (1 + |proposed|)`: the damped move is smaller by
+    /// the factor λ and would declare convergence a factor 1/λ too early.
+    fn damped_update(&mut self, st: &mut [ChainState]) -> f64 {
+        let mut delta: f64 = 0.0;
+        for ((s, proposed), kdelta) in st.iter_mut().zip(&self.proposed).zip(&mut self.chain_delta)
+        {
+            *kdelta = 0.0;
+            for (old, &new) in s.damped.iter_mut().zip(proposed) {
+                *kdelta = kdelta.max((new - *old).abs() / (1.0 + new.abs()));
+                *old = DAMPING * new + (1.0 - DAMPING) * *old;
+            }
+            delta = delta.max(*kdelta);
+        }
+        delta
     }
 }
 
@@ -494,8 +901,7 @@ impl Model {
         warm: Option<&WarmStart>,
         mut log: Option<&mut IterLog>,
     ) -> (ModelReport, WarmStart) {
-        let params = &self.cfg.params;
-        let ctxs = chain_contexts(params, &self.cfg.workload, self.cfg.n_requests);
+        let ctxs = chain_contexts(&self.cfg.params, &self.cfg.workload, self.cfg.n_requests);
         let keys: Vec<(usize, ChainType)> = ctxs.iter().map(|c| (c.site, c.chain)).collect();
         let warm_st = warm.filter(|w| w.keys == keys);
         let mut st: Vec<ChainState> = match warm_st {
@@ -509,458 +915,53 @@ impl Model {
                 })
                 .collect(),
         };
-
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut residual = f64::INFINITY;
-        let lam = self.opts.damping;
-        // (CPU, disk) utilization per site, refreshed by each MVA pass.
-        let mut site_util = vec![(0.0f64, 0.0f64); params.sites()];
-
-        // Per-site networks + MVA buffers, built once and reused across
-        // iterations (topology and populations are fixed; only demands
-        // change), keeping the iteration loop allocation-free.
-        let mut solvers: Vec<SiteSolver> = (0..params.sites())
-            .map(|site| {
-                let site_idx: Vec<usize> =
-                    (0..ctxs.len()).filter(|&k| ctxs[k].site == site).collect();
-                let mut net = Network::new();
-                let cpu = net.add_center("CPU", CenterKind::Queueing);
-                let disk = net.add_center("DISK", CenterKind::Queueing);
-                let log_disk = if self.opts.separate_log_disk {
-                    Some(net.add_center("LOG", CenterKind::Queueing))
-                } else {
-                    None
-                };
-                let tm = if self.opts.model_tm_serialization {
-                    Some(net.add_center("TM", CenterKind::Queueing))
-                } else {
-                    None
-                };
-                let delay = net.add_center("DELAY", CenterKind::Delay);
-                for &k in &site_idx {
-                    net.add_chain(ctxs[k].chain.label(), ctxs[k].population);
-                }
-                SiteSolver {
-                    site_idx,
-                    net,
-                    cpu,
-                    disk,
-                    log_disk,
-                    tm,
-                    delay,
-                    scratch: MvaScratch::default(),
-                    out: MvaSolution::empty(),
-                }
-            })
-            .collect();
-        let threads = self.opts.threads.max(1).min(solvers.len().max(1));
-        let parallel_sites = threads > 1
-            && solvers
-                .iter()
-                .map(|sv| sv.net.lattice_size())
-                .max()
-                .unwrap_or(0)
-                >= PARALLEL_LATTICE_MIN;
-
-        // Hoisted per-iteration buffers: the whole fixed-point loop runs
-        // allocation-free (the traffic-equation solve, the contention
-        // linear system, and the proposed-update vectors all reuse these).
-        let n_chains = ctxs.len();
-        let mut traffic_scratch = TrafficScratch::default();
-        let mut visits: Vec<VisitCounts> = (0..n_chains).map(|_| VisitCounts::zero()).collect();
-        let mut new_pb = vec![0.0; n_chains];
-        let mut new_pd = vec![0.0; n_chains];
-        let mut new_rlw = vec![0.0; n_chains];
-        let mut new_rrw = vec![0.0; n_chains];
-        let mut new_cwc = vec![0.0; n_chains];
-        let mut new_cwa = vec![0.0; n_chains];
-        let mut new_pra = vec![0.0; n_chains];
-        let mut chain_delta = vec![0.0; n_chains];
-        let mut states: Vec<ChainLockState> = Vec::with_capacity(n_chains);
-        let mut lw_scratch = LockWaitScratch::default();
-        let mut rlw_site: Vec<f64> = Vec::with_capacity(n_chains);
-        let mut pd_dist: Vec<f64> = Vec::with_capacity(n_chains);
+        let mut fp = FixedPoint::new(&self.cfg.params, &self.opts, &ctxs);
         let mut accel = match self.opts.accel {
             Accel::Off => None,
             Accel::Anderson => Some(AccelEngine::new(&st)),
         };
 
-        for iter in 0..self.opts.max_iter {
+        let mut iterations = 0;
+        let mut converged = false;
+        let mut residual = f64::INFINITY;
+        for iter in 0..MAX_ITER {
             iterations = iter + 1;
-
-            // --- Phase/visit/demand assembly -------------------------------
-            for (k, ctx) in ctxs.iter().enumerate() {
-                let s = &mut st[k];
-                let p = (s.pb * s.pd).clamp(0.0, 0.999_999);
-                s.sigma = sigma(p, ctx.n_lk.max(1.0));
-                let survive_locks = (1.0 - p).powf(ctx.n_lk);
-                let survive_remote = match ctx.chain {
-                    ChainType::Droc | ChainType::Duc => (1.0 - s.pra).powf(ctx.r),
-                    ChainType::Dros | ChainType::Dus => (1.0 - s.pra).powf(ctx.l),
-                    _ => 1.0,
-                };
-                s.p_a = (1.0 - survive_locks * survive_remote).clamp(0.0, 0.95);
-                s.n_s = 1.0 / (1.0 - s.p_a);
-
-                let hz = Hazards {
-                    pb: s.pb,
-                    pd: s.pd,
-                    pra: s.pra,
-                };
-                let m = if ctx.chain.is_slave() {
-                    TransitionMatrix::slave(ctx.l, ctx.q, hz)
-                } else {
-                    TransitionMatrix::local_or_coordinator(ctx.n, ctx.l, ctx.r, ctx.q, hz)
-                };
-                m.visit_counts_into(&mut traffic_scratch, &mut visits[k]);
-            }
-
-            // --- Per-site MVA ----------------------------------------------
-            // Refresh the demands of every site's (pre-built) network.
-            for sv in &mut solvers {
-                for (chain_id, &k) in sv.site_idx.iter().enumerate() {
-                    let ctx = &ctxs[k];
-                    let s = &st[k];
-                    let costs = phase_costs(params, ctx, s.sigma);
-                    let d = demands(
-                        params,
-                        &visits[k],
-                        &costs,
-                        &DelayTimes {
-                            lw: s.r_lw,
-                            rw: s.r_rw,
-                            cwc: s.r_cwc,
-                            cwa: s.r_cwa,
-                        },
-                        s.n_s,
-                    );
-                    sv.net.set_demand(chain_id, sv.cpu, d.cpu);
-                    match sv.log_disk {
-                        Some(log_c) => {
-                            sv.net.set_demand(chain_id, sv.disk, d.disk);
-                            sv.net.set_demand(chain_id, log_c, d.log);
-                        }
-                        None => {
-                            // Shared device (the testbed's forced layout).
-                            sv.net.set_demand(chain_id, sv.disk, d.disk + d.log);
-                        }
-                    }
-                    sv.net.set_demand(chain_id, sv.delay, d.delay);
-                    if let Some(tm) = sv.tm {
-                        // Shadow-server approximation of the serialised TM:
-                        // all TM-phase CPU plus the forced commit write.
-                        let v = &visits[k];
-                        let tm_demand = s.n_s
-                            * (v.get(Phase::Tm) * costs.cpu[Phase::Tm.idx()]
-                                + v.get(Phase::Tc) * costs.cpu[Phase::Tc.idx()]
-                                + v.get(Phase::Tcio) * costs.disk[Phase::Tcio.idx()]);
-                        sv.net.set_demand(chain_id, tm, tm_demand);
-                    }
-                    let s = &mut st[k];
-                    s.ios_per_cycle = d.ios;
-                    s.log_ios_per_cycle = d.log_ios;
-                    s.cpu_demand = d.cpu;
-                    s.disk_demand = if self.opts.separate_log_disk {
-                        d.disk
-                    } else {
-                        d.disk + d.log
-                    };
-                    s.log_demand = if self.opts.separate_log_disk {
-                        d.log
-                    } else {
-                        0.0
-                    };
-                }
-            }
-
-            // Sites are independent closed networks: solve them
-            // concurrently when allowed and worthwhile. Each solve writes
-            // only its own buffers with arithmetic identical to the
-            // sequential path, so the results are bitwise equal for any
-            // thread count.
-            if parallel_sites {
-                let per = solvers.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for chunk in solvers.chunks_mut(per) {
-                        scope.spawn(move || {
-                            for sv in chunk {
-                                sv.run();
-                            }
-                        });
-                    }
-                });
-            } else {
-                for sv in &mut solvers {
-                    sv.run();
-                }
-            }
-
-            for (site, sv) in solvers.iter().enumerate() {
-                for (pos, &k) in sv.site_idx.iter().enumerate() {
-                    let s = &mut st[k];
-                    s.x = sv.out.throughput[pos];
-                    s.r_cycle = sv.out.response[pos];
-                    let think = s.n_s * params.think_time_ms;
-                    s.r_s = ((s.r_cycle - think) / (1.0 + (s.n_s - 1.0) * s.sigma)).max(1e-9);
-                }
-
-                // Stash site utilizations for the delay updates below.
-                site_util[site] = (sv.out.utilization[sv.cpu], sv.out.utilization[sv.disk]);
-            }
-
-            // --- Contention updates ----------------------------------------
-            for solver in solvers.iter().take(params.sites()) {
-                let site_idx = &solver.site_idx;
-                // L_h and blocked-time fractions first.
-                for &k in site_idx {
-                    let ctx = &ctxs[k];
-                    let s = &mut st[k];
-                    s.l_h = locks_held(ctx.n_lk, s.sigma, s.p_a, s.r_s, params.think_time_ms);
-                    s.blocked_frac = if s.r_cycle > 0.0 {
-                        (s.n_s * ctx.n_lk * s.pb * s.r_lw / s.r_cycle).clamp(0.0, 0.9)
-                    } else {
-                        0.0
-                    };
-                }
-                states.clear();
-                states.extend(site_idx.iter().map(|&k| {
-                    let s = &st[k];
-                    // B(t): the wait-free part of R_s — what the blocker
-                    // actually *does* while holding locks. Both the
-                    // lock-wait echo (same site) and the remote-wait echo
-                    // (other site's lock waits reflected through RW gaps)
-                    // are removed; without this the cross-site R_LW loop
-                    // is slowly supercritical and the iteration drifts
-                    // into an unphysical thrashing solution. B is anchored
-                    // to the pure service content per execution: at least
-                    // 1× (can't be faster than service), at most 6×
-                    // (bounded queueing inflation at sub-saturation
-                    // utilizations).
-                    let lw_content = ctxs[k].n_lk * s.pb * s.r_lw;
-                    let rw_cw_content =
-                        visits[k].get(Phase::Rw) * s.r_rw + visits[k].get(Phase::Cwc) * s.r_cwc;
-                    let service = (s.cpu_demand + s.disk_demand) / s.n_s;
-                    let useful = (s.r_s - lw_content - rw_cw_content)
-                        .clamp(service, 6.0 * service.max(1e-9));
-                    ChainLockState {
-                        chain: ctxs[k].chain,
-                        population: ctxs[k].population as f64,
-                        l_h: s.l_h,
-                        n_lk: ctxs[k].n_lk,
-                        blocked_frac: s.blocked_frac,
-                        r_s: s.r_s,
-                        useful,
-                        pb: s.pb,
-                        pd: s.pd,
-                    }
-                }));
-                lock_wait_times_consistent_into(
-                    &states,
-                    self.opts.all_locks_exclusive,
-                    self.opts.fixed_br,
-                    &mut lw_scratch,
-                    &mut rlw_site,
-                );
-                for (pos, &k) in site_idx.iter().enumerate() {
-                    new_pb[k] = blocking_probability(
-                        ctxs[k].chain,
-                        &states,
-                        params.effective_granules(),
-                        self.opts.all_locks_exclusive,
-                    );
-                    new_pd[k] = if self.opts.ignore_deadlocks {
-                        0.0
-                    } else {
-                        deadlock_probability_scratch(
-                            pos,
-                            &states,
-                            self.opts.all_locks_exclusive,
-                            &mut pd_dist,
-                        )
-                    };
-                    new_rlw[k] = rlw_site[pos];
-                }
-            }
-
-            // --- Distributed delays (Eqs. 21–24 + CW) ----------------------
-            let alpha = params.comm_delay_ms;
-            new_rrw.fill(0.0);
-            new_cwc.fill(0.0);
-            new_cwa.fill(0.0);
-            new_pra.fill(0.0);
-            for k in 0..ctxs.len() {
-                let ctx = &ctxs[k];
-                match ctx.chain {
-                    ChainType::Droc | ChainType::Duc => {
-                        let sc = ctx.chain.counterpart().expect("coordinator");
-                        let mut active_sum = 0.0;
-                        let mut commit_max: f64 = 0.0;
-                        let mut pra_survive = 1.0;
-                        let mut n_slaves = 0.0;
-                        for (j, sl) in ctxs.iter().enumerate() {
-                            if sl.chain != sc || sl.site == ctx.site {
-                                continue;
-                            }
-                            let ss = &st[j];
-                            let (u_cpu, u_disk) = site_util[sl.site];
-                            let infl_cpu = (1.0 / (1.0 - u_cpu.min(0.95))).min(5.0);
-                            let infl_disk = (1.0 / (1.0 - u_disk.min(0.95))).min(5.0);
-                            let commit_part = params.basic.tc_cpu(sc) * infl_cpu
-                                + params.basic.commit_ios(sc) as f64
-                                    * params.nodes[sl.site].disk_io_ms
-                                    * infl_disk;
-                            // Slave time actively serving one remote request:
-                            // its successful execution minus its own waits
-                            // and commit processing, per request.
-                            let active =
-                                ((ss.r_s - visits_rw_estimate(sl) * ss.r_rw - commit_part) / sl.l)
-                                    .max(0.0);
-                            active_sum += active;
-                            commit_max = commit_max.max(commit_part);
-                            pra_survive *= (1.0 - ss.pb * ss.pd).powf(sl.q);
-                            n_slaves += 1.0;
-                        }
-                        if n_slaves > 0.0 {
-                            new_rrw[k] = 2.0 * alpha + active_sum / n_slaves;
-                            new_cwc[k] = 4.0 * alpha + commit_max;
-                            new_cwa[k] = 2.0 * alpha;
-                            new_pra[k] = 1.0 - pra_survive;
-                        }
-                    }
-                    ChainType::Dros | ChainType::Dus => {
-                        let cc = ctx.chain.counterpart().expect("slave");
-                        // The coordinator(s) this slave serves live at the
-                        // other sites.
-                        let mut gap_sum = 0.0;
-                        let mut cwc_max: f64 = 0.0;
-                        let mut pra_survive = 1.0;
-                        let mut n_coord = 0.0;
-                        for (j, co) in ctxs.iter().enumerate() {
-                            if co.chain != cc || co.site == ctx.site {
-                                continue;
-                            }
-                            let cs = &st[j];
-                            let (u_cpu, u_disk) = site_util[co.site];
-                            let infl_cpu = (1.0 / (1.0 - u_cpu.min(0.95))).min(5.0);
-                            let infl_disk = (1.0 / (1.0 - u_disk.min(0.95))).min(5.0);
-                            let decision = params.basic.tc_cpu(cc) / 2.0 * infl_cpu
-                                + params.basic.commit_ios(cc) as f64
-                                    * params.nodes[co.site].disk_io_ms
-                                    * infl_disk;
-                            let gap =
-                                ((cs.r_s - co.r * cs.r_rw - cs.r_cwc) / co.r.max(1.0)).max(0.0);
-                            gap_sum += gap + 2.0 * alpha;
-                            cwc_max = cwc_max.max(2.0 * alpha + decision);
-                            // Coordinator-side aborts per slave wait: the
-                            // coordinator acquires N_lk(c)/r locks per gap.
-                            pra_survive *= (1.0 - cs.pb * cs.pd).powf(co.n_lk / co.r.max(1.0));
-                            n_coord += 1.0;
-                        }
-                        if n_coord > 0.0 {
-                            new_rrw[k] = gap_sum / n_coord;
-                            new_cwc[k] = cwc_max;
-                            new_cwa[k] = 2.0 * alpha;
-                            new_pra[k] = 1.0 - pra_survive;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            // --- Damped state update + convergence check -------------------
-            let mut delta: f64 = 0.0;
-            for k in 0..ctxs.len() {
-                let s = &mut st[k];
-                let mut kdelta: f64 = 0.0;
-                let mut upd = |old: &mut f64, new: f64| {
-                    // Judge convergence on the *undamped* step. The damped
-                    // move `|v − old| = λ·|new − old|` under-states the
-                    // distance from the fixed point by the damping factor,
-                    // which declared convergence a factor 1/λ too early.
-                    kdelta = kdelta.max((new - *old).abs() / (1.0 + new.abs()));
-                    *old = lam * new + (1.0 - lam) * *old;
-                };
-                upd(&mut s.pb, new_pb[k]);
-                upd(&mut s.pd, new_pd[k]);
-                upd(&mut s.r_lw, new_rlw[k]);
-                upd(&mut s.r_rw, new_rrw[k]);
-                upd(&mut s.r_cwc, new_cwc[k]);
-                upd(&mut s.r_cwa, new_cwa[k]);
-                upd(&mut s.pra, new_pra[k]);
-                chain_delta[k] = kdelta;
-                // The global residual is the max over per-chain maxima —
-                // bitwise the same number the flat max-fold produced.
-                delta = delta.max(kdelta);
-            }
-            residual = delta;
-
-            // --- Acceleration ----------------------------------------------
-            // `restored` marks an iteration whose computed step was thrown
-            // away because the preceding accelerated step made the residual
-            // grow; its `delta` does not participate in convergence.
-            let mut marker: &'static str = "";
-            let mut restored = false;
-            if let Some(eng) = accel.as_mut() {
-                if eng.pending {
-                    eng.pending = false;
-                    if delta > ANDERSON_GRACE * eng.pending_residual && delta >= self.opts.tol {
-                        // The accelerated step increased the residual: roll
-                        // back to the plain damped iterate it replaced.
-                        st.clone_from(&eng.snapshot);
-                        eng.clear_history();
-                        eng.rejected += 1;
-                        eng.cooldown = ACCEL_COOLDOWN;
-                        marker = "rej";
-                        restored = true;
-                    } else {
-                        eng.accepted += 1;
-                    }
-                }
-                if !restored {
-                    eng.record(&st);
-                    if delta >= self.opts.tol {
-                        if eng.cooldown > 0 {
-                            eng.cooldown -= 1;
-                        } else if iterations >= ACCEL_START
-                            && eng.try_candidate()
-                            && eng.candidate_in_bounds()
-                        {
-                            eng.snapshot.clone_from(&st);
-                            eng.pending = true;
-                            eng.pending_residual = delta;
-                            eng.inject_candidate(&mut st);
-                            marker = "acc";
-                        }
-                    }
-                }
-                eng.roll(&st);
-            }
-
+            fp.aborts_and_visits(&mut st);
+            fp.site_mva(&mut st);
+            fp.lock_contention(&mut st);
+            fp.distributed_delays(&st);
+            residual = fp.damped_update(&mut st);
+            // `restored` marks an iteration whose step was thrown away
+            // because the preceding accelerated step made the residual
+            // grow; its residual does not count toward convergence.
+            let (marker, restored) = match accel.as_mut() {
+                Some(eng) => eng.step(&mut st, residual, iterations, self.opts.tol),
+                None => ("", false),
+            };
             if let Some(log) = log.as_deref_mut() {
                 // Post-update state: what the next iteration starts from
                 // (and, on the final iteration, exactly the converged state
                 // the report is packaged from). `l_h` is this iteration's
-                // contention-section value; the residual column is the
-                // chain's own pre-damping step (see `IterRow::residual`).
+                // contention value; the residual column is the chain's own
+                // pre-damping step (see `IterRow::residual`).
                 for (k, ctx) in ctxs.iter().enumerate() {
                     let s = &st[k];
                     log.push(IterRow {
                         iter: iterations,
                         site: ctx.site,
                         chain: ctx.chain.label().to_string(),
-                        residual: chain_delta[k],
-                        pb: s.pb,
-                        pd: s.pd,
+                        residual: fp.chain_delta[k],
+                        pb: s.damped[PB],
+                        pd: s.damped[PD],
                         l_h: s.l_h,
-                        r_lw: s.r_lw,
-                        r_rw: s.r_rw,
-                        r_cw: s.r_cwc,
+                        r_lw: s.damped[R_LW],
+                        r_rw: s.damped[R_RW],
+                        r_cw: s.damped[R_CWC],
                         accel: marker,
                     });
                 }
             }
-            if !restored && delta < self.opts.tol {
+            if !restored && residual < self.opts.tol {
                 converged = true;
                 break;
             }
@@ -1017,26 +1018,16 @@ impl Model {
                 // Final-state phase decomposition (service content per
                 // commit cycle) for comparison with the simulator's
                 // measured residence.
-                let hz = Hazards {
-                    pb: s.pb,
-                    pd: s.pd,
-                    pra: s.pra,
-                };
-                let m = if ctx.chain.is_slave() {
-                    TransitionMatrix::slave(ctx.l, ctx.q, hz)
-                } else {
-                    TransitionMatrix::local_or_coordinator(ctx.n, ctx.l, ctx.r, ctx.q, hz)
-                };
-                let v = m.visit_counts();
+                let v = transition_matrix(ctx, s).visit_counts();
                 let costs = phase_costs(params, ctx, s.sigma);
                 let mut phase_ms = std::collections::BTreeMap::new();
                 for ph in Phase::ALL {
                     let service = costs.cpu[ph.idx()] + costs.disk[ph.idx()] + costs.log[ph.idx()];
                     let delay = match ph {
-                        Phase::Lw => s.r_lw,
-                        Phase::Rw => s.r_rw,
-                        Phase::Cwc => s.r_cwc,
-                        Phase::Cwa => s.r_cwa,
+                        Phase::Lw => s.damped[R_LW],
+                        Phase::Rw => s.damped[R_RW],
+                        Phase::Cwc => s.damped[R_CWC],
+                        Phase::Cwa => s.damped[R_CWA],
                         Phase::Ut => params.think_time_ms,
                         _ => 0.0,
                     };
@@ -1051,11 +1042,11 @@ impl Model {
                     xput_per_s: s.x * 1000.0,
                     response_ms: s.r_cycle,
                     n_s: s.n_s,
-                    pb: s.pb,
-                    pd: s.pd,
+                    pb: s.damped[PB],
+                    pd: s.damped[PD],
                     p_a: s.p_a,
                     l_h: s.l_h,
-                    r_lw_ms: s.r_lw,
+                    r_lw_ms: s.damped[R_LW],
                 };
                 per_chain.push((ctx.chain, rep.clone()));
                 if !ctx.chain.is_slave() {
@@ -1080,9 +1071,4 @@ impl Model {
         }
         ModelReport { nodes, convergence }
     }
-}
-
-/// Estimated RW visits per slave execution (= its request count).
-fn visits_rw_estimate(ctx: &ChainCtx) -> f64 {
-    ctx.l
 }

@@ -101,7 +101,9 @@ proptest! {
     fn lock_wait_solve_always_bounded(
         pops in proptest::collection::vec((1.0f64..8.0, 0.0f64..0.5, 0.0f64..0.5), 1..5),
     ) {
-        use carat_model::contention::{lock_wait_times_consistent, ChainLockState};
+        use carat_model::contention::{
+            lock_wait_times_consistent_into, ChainLockState, LockWaitScratch,
+        };
         use carat_workload::ChainType;
         let chains: Vec<ChainLockState> = pops
             .iter()
@@ -118,7 +120,14 @@ proptest! {
                 pd,
             })
             .collect();
-        let waits = lock_wait_times_consistent(&chains, false, None);
+        let mut waits = Vec::new();
+        lock_wait_times_consistent_into(
+            &chains,
+            false,
+            None,
+            &mut LockWaitScratch::default(),
+            &mut waits,
+        );
         for (i, w) in waits.iter().enumerate() {
             prop_assert!(w.is_finite() && *w >= 0.0, "chain {}: {}", i, w);
             // Saturation bound: ≤ 8 × first-order wait ≤ 8 × max BR × max useful.

@@ -219,11 +219,6 @@ impl LockManager {
         self.waiting_on.get(&owner).copied()
     }
 
-    /// Blocks currently held by `owner`.
-    pub fn held_blocks(&self, owner: TxnToken) -> &[u32] {
-        self.held.get(&owner).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Number of locks held by `owner`.
     pub fn held_count(&self, owner: TxnToken) -> usize {
         self.held.get(&owner).map_or(0, Vec::len)

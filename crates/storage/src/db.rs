@@ -285,21 +285,6 @@ impl Database {
         self.active.get(&tx).map(|s| s.prepared).unwrap_or(false)
     }
 
-    /// Active transactions in the in-doubt window: prepared (vote YES
-    /// durable) but neither committed nor rolled back yet. These hold their
-    /// locks until the coordinator's decision — or a termination protocol —
-    /// resolves them.
-    pub fn in_doubt(&self) -> Vec<TxId> {
-        let mut v: Vec<TxId> = self
-            .active
-            .iter()
-            .filter(|(_, s)| s.prepared)
-            .map(|(&tx, _)| tx)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Rolls `tx` back: restores before-images in reverse order and writes
     /// an abort record. Each restored block costs one database write.
     ///

@@ -103,11 +103,6 @@ impl ChainType {
         matches!(self, ChainType::Lu | ChainType::Duc | ChainType::Dus)
     }
 
-    /// True for DROC/DUC.
-    pub fn is_coordinator(self) -> bool {
-        matches!(self, ChainType::Droc | ChainType::Duc)
-    }
-
     /// True for DROS/DUS.
     pub fn is_slave(self) -> bool {
         matches!(self, ChainType::Dros | ChainType::Dus)
