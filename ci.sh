@@ -21,11 +21,12 @@ echo "== sweep determinism gate"
 cargo run --release -p carat-bench --bin exp -- bench --emit --threads 4 --out "${TMPDIR:-/tmp}/sweep_par.json"
 cargo run --release -p carat-bench --bin exp -- bench --emit --sequential --out "${TMPDIR:-/tmp}/sweep_seq.json"
 cmp "${TMPDIR:-/tmp}/sweep_par.json" "${TMPDIR:-/tmp}/sweep_seq.json"
-echo "== sweep determinism gate (acceleration on)"
-# Accelerated solves must also be byte-identical across thread counts.
-cargo run --release -p carat-bench --bin exp -- bench --emit --accel anderson --threads 4 --out "${TMPDIR:-/tmp}/sweep_acc_par.json"
-cargo run --release -p carat-bench --bin exp -- bench --emit --accel anderson --sequential --out "${TMPDIR:-/tmp}/sweep_acc_seq.json"
-cmp "${TMPDIR:-/tmp}/sweep_acc_par.json" "${TMPDIR:-/tmp}/sweep_acc_seq.json"
+echo "== sweep determinism gate (oracle, acceleration off)"
+# The default solve is Anderson-accelerated; the plain damped iteration it
+# is checked against must also be byte-identical across thread counts.
+cargo run --release -p carat-bench --bin exp -- bench --emit --accel off --threads 4 --out "${TMPDIR:-/tmp}/sweep_off_par.json"
+cargo run --release -p carat-bench --bin exp -- bench --emit --accel off --sequential --out "${TMPDIR:-/tmp}/sweep_off_seq.json"
+cmp "${TMPDIR:-/tmp}/sweep_off_par.json" "${TMPDIR:-/tmp}/sweep_off_seq.json"
 echo "== sweep determinism gate (cold starts)"
 # Cold sweeps put every point in its own task, so the pool interleaves
 # them differently from the warm chains above.

@@ -91,7 +91,7 @@ pub fn parse(argv: &[String], measure_ms: Option<&str>) -> Result<Args, String> 
         mode: None,
         out: None,
         reps: bench::SIM_REPS,
-        accel: Accel::Off,
+        accel: Accel::default(),
     };
     // The `exp bench` option flags given, checked against the mode below.
     let mut options = Vec::new();
@@ -180,18 +180,18 @@ mod tests {
     fn bench_flags_pass_through() {
         let a = ok("bench --emit");
         assert_eq!((a.mode, a.out.as_deref()), (Some(Mode::Emit), None));
-        assert_eq!((a.reps, a.accel), (bench::SIM_REPS, Accel::Off));
-        let a = ok("bench --emit --out x.json --threads 6 --no-warm --accel anderson");
+        assert_eq!((a.reps, a.accel), (bench::SIM_REPS, Accel::Anderson));
+        let a = ok("bench --emit --out x.json --threads 6 --no-warm --accel off");
         assert_eq!(
             (a.mode, a.out.as_deref()),
             (Some(Mode::Emit), Some("x.json"))
         );
         assert_eq!(
             (a.sweep.threads, a.sweep.warm, a.accel),
-            (6, false, Accel::Anderson)
+            (6, false, Accel::Off)
         );
         // The mode flag may come after its options.
-        assert_eq!(ok("bench --accel off --emit").accel, Accel::Off);
+        assert_eq!(ok("bench --accel anderson --emit").accel, Accel::Anderson);
         let a = ok("bench --emit-sim --reps 5 --out y.json --sequential");
         assert_eq!(
             (a.mode, a.reps, a.out.as_deref(), a.sweep.threads),

@@ -7,9 +7,10 @@
 //! * **emit** (`--emit [--accel off|anderson] [--out PATH]`): solves the
 //!   model grid (4 workloads × the n sweep) honouring the engine flags
 //!   (`--threads N`, `--sequential`, `--no-warm`) and the solver flag
-//!   (`--accel`) and writes the canonical JSON result rows. CI runs this
-//!   at `--threads 4` and `--sequential` — warm, warm with acceleration,
-//!   and cold — and byte-compares each pair of files;
+//!   (`--accel`, Anderson by default) and writes the canonical JSON
+//!   result rows. CI runs this at `--threads 4` and `--sequential` — warm,
+//!   warm with acceleration off (the oracle), and cold — and
+//!   byte-compares each pair of files;
 //! * **emit-sim** (`--emit-sim [--reps R] [--out PATH]`): runs R
 //!   replications of every reference sim point on the deterministic pool
 //!   and writes the canonical replicated JSON. CI byte-compares

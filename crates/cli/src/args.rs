@@ -63,8 +63,8 @@ pub struct RunSpec {
     /// Warm-start each model solve from the previous transaction size's
     /// converged fixed point.
     pub warm_start: bool,
-    /// Outer-loop fixed-point acceleration (model only; `off` is
-    /// byte-identical to the plain damped iteration).
+    /// Outer-loop fixed-point acceleration (model only; Anderson by
+    /// default, `off` for the plain damped iteration).
     pub accel: carat::model::Accel,
     /// Write a transaction-lifecycle trace here (simulator, single run
     /// only). `.jsonl` writes line-delimited events; anything else writes
@@ -117,7 +117,7 @@ impl Default for RunSpec {
             reps: 1,
             threads: 1,
             warm_start: false,
-            accel: carat::model::Accel::Off,
+            accel: carat::model::Accel::default(),
             trace: None,
             trace_filter: None,
             metrics_ms: None,
@@ -200,7 +200,7 @@ FLAGS:
     --threads <k>                  parallel MVA solves / sim replications (identical results)
     --warm-start                   seed each model solve from the previous n's fixed point
     --sequential                   force single-threaded solving (same as --threads 1)
-    --accel <off|anderson>         accelerate the model's fixed point (default off)
+    --accel <off|anderson>         accelerate the model's fixed point (default anderson)
     --trace <path>                 write a lifecycle trace (sim, single run):
                                    .jsonl = line-delimited, else Chrome/Perfetto JSON
     --trace-filter <spec>          keep only matching events, e.g.
@@ -670,7 +670,11 @@ mod tests {
     #[test]
     fn parses_accel_and_mva() {
         use carat::model::Accel;
-        assert_eq!(RunSpec::default().accel, Accel::Off);
+        assert_eq!(RunSpec::default().accel, Accel::Anderson);
+        let Command::Model(spec) = parse(&argv("model --accel off")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(spec.accel, Accel::Off);
         let Command::Model(spec) = parse(&argv("model --accel anderson")).unwrap() else {
             panic!()
         };

@@ -52,16 +52,17 @@ impl ModelConfig {
 /// `Pra`) and is safeguarded: a candidate that leaves the [0, 1] /
 /// positivity bounds is discarded before being applied, and an applied
 /// step whose follow-up residual grows is rolled back to the plain damped
-/// iterate (with a short cooldown). `Off` is byte-identical to the
-/// unaccelerated solver.
+/// iterate (with a short cooldown). Anderson is the default; `Off`, the
+/// plain damped iteration, is the oracle the acceleration tests compare
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Accel {
-    /// Plain damped iteration (the default).
-    #[default]
+    /// Plain damped iteration: the reference path.
     Off,
-    /// Anderson mixing with history depth [`DEFAULT_ANDERSON_DEPTH`]: each
-    /// step combines the last `m + 1` iterates through a small regularised
-    /// least-squares problem over their residuals.
+    /// Anderson mixing with history depth [`DEFAULT_ANDERSON_DEPTH`] (the
+    /// default): each step combines the last `m + 1` iterates through a
+    /// small regularised least-squares problem over their residuals.
+    #[default]
     Anderson,
 }
 
@@ -85,8 +86,8 @@ pub const DEFAULT_ANDERSON_DEPTH: usize = 3;
 pub struct ModelOptions {
     /// Convergence tolerance on the undamped residual.
     pub tol: f64,
-    /// Outer-loop acceleration (see [`Accel`]; `Off` keeps the solve
-    /// byte-identical to the plain damped iteration).
+    /// Outer-loop acceleration (see [`Accel`]; Anderson by default, `Off`
+    /// for the plain damped iteration).
     pub accel: Accel,
     /// Ablation: ignore deadlocks/rollback entirely (`Pd = 0`), as many
     /// earlier models did.
@@ -116,7 +117,7 @@ impl Default for ModelOptions {
     fn default() -> Self {
         ModelOptions {
             tol: 1e-9,
-            accel: Accel::Off,
+            accel: Accel::default(),
             ignore_deadlocks: false,
             all_locks_exclusive: false,
             fixed_br: None,

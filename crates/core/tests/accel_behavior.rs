@@ -1,8 +1,7 @@
 //! Behavioural tests of the accelerated fixed-point solver: with
-//! acceleration enabled the solve must land on the *same* fixed point as
-//! the plain damped iteration (the safeguards make acceleration a pure
-//! convergence-speed transform), and with acceleration off the solver must
-//! remain bitwise identical to the historical behaviour.
+//! acceleration enabled (the default) the solve must land on the *same*
+//! fixed point as the plain damped iteration, the oracle (the safeguards
+//! make acceleration a pure convergence-speed transform).
 
 use carat_model::{Accel, Model, ModelConfig, ModelOptions, ModelReport};
 use carat_obs::IterLog;
@@ -134,12 +133,13 @@ fn accepted_steps_are_counted_and_logged() {
 }
 
 #[test]
-fn accel_off_is_the_default_and_changes_nothing() {
+fn anderson_is_the_default_solve() {
     let defaults = ModelOptions::default();
-    assert_eq!(defaults.accel, Accel::Off);
+    assert_eq!(defaults.accel, Accel::Anderson);
     let a = Model::new(ModelConfig::new(StandardWorkload::Ub6.spec(2), 12)).solve();
-    let b = solve_with(StandardWorkload::Ub6, 12, Accel::Off);
+    let b = solve_with(StandardWorkload::Ub6, 12, Accel::Anderson);
     assert_eq!(a, b);
+    assert!(a.convergence.accel_accepted > 0);
 }
 
 #[test]

@@ -1,12 +1,12 @@
-//! The model's output off the default path, pinned byte for byte.
+//! The model's output off the default sweep, pinned byte for byte.
 //!
-//! `crates/bench/tests/emit_pinned.rs` pins the default solve (two sites,
-//! acceleration off, every ablation off). Anderson mixing, the ablation
-//! switches, k-site points with think time and warm chains are otherwise
-//! checked only within a tolerance. These digests pin their absolute
-//! bytes: per configuration, an FNV-1a hash of the `ModelReport`'s `Debug`
-//! form, which prints every `f64` in its shortest round-trip form, plus
-//! the hash of one logged solve's `IterLog` JSON per accelerator.
+//! `crates/bench/tests/emit_pinned.rs` pins the two-site sweep with every
+//! ablation off, under both accelerators. The ablation switches, k-site
+//! points with think time and warm chains are otherwise checked only
+//! within a tolerance. These digests pin their absolute bytes: per
+//! configuration, an FNV-1a hash of the `ModelReport`'s `Debug` form,
+//! which prints every `f64` in its shortest round-trip form, plus the hash
+//! of one logged solve's `IterLog` JSON per accelerator.
 
 use carat_model::{Accel, Model, ModelConfig, ModelOptions, ModelReport, WarmStart};
 use carat_obs::IterLog;

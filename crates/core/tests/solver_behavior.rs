@@ -295,6 +295,17 @@ fn lattice_above_exact_cap_solves_by_schweitzer() {
 }
 
 #[test]
+fn default_solve_converges_past_four_sites() {
+    // MB8 at n = 24 over five sites: the plain damped map oscillates there
+    // and stops at the iteration cap with residual 1.59; the default
+    // (Anderson) solve contracts to the tolerance.
+    let mut cfg = ModelConfig::new(StandardWorkload::Mb8.spec(5), 24);
+    cfg.params = SystemParams::with_sites(5);
+    let r = Model::new(cfg).solve();
+    assert!(r.convergence.converged, "{:?}", r.convergence);
+}
+
+#[test]
 fn read_only_workload_has_no_aborts_or_log_io() {
     let spec = WorkloadSpec {
         name: "ro".into(),

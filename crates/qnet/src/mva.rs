@@ -101,8 +101,15 @@ pub struct MvaScratch {
     q: Vec<f64>,
     /// Mixed-radix strides of the population lattice.
     stride: Vec<usize>,
-    /// Decoded population vector.
+    /// The current population vector, stepped like an odometer.
     pop: Vec<usize>,
+    /// Demands, chain-major: `demand[k * centers + c]`.
+    demand: Vec<f64>,
+    /// Residence times at the current population vector, laid out like
+    /// `demand`.
+    residence: Vec<f64>,
+    /// Indices of the queueing centers, ascending.
+    queueing: Vec<usize>,
 }
 
 impl Network {
@@ -193,86 +200,98 @@ impl Network {
     /// Allocation-free variant of [`Network::solve_exact`]: reuses the
     /// buffers in `scratch` and writes the solution into `out`. Produces
     /// bitwise-identical results to `solve_exact`.
+    ///
+    /// Each chain's residence total is summed in center order and each
+    /// center's queue in chain order, as in the textbook recursion, so
+    /// the bits do not depend on how the loops are laid out (DESIGN.md
+    /// §11, "Exact recursion kernel").
     pub fn solve_exact_into(&self, scratch: &mut MvaScratch, out: &mut MvaSolution) {
         let k_n = self.chains();
         let c_n = self.centers();
         let lattice = self.lattice_size();
 
         out.reset(k_n, c_n);
-        let MvaScratch { q, stride, pop } = scratch;
-        // Mean queue length at each queueing center for every population
-        // vector, indexed by mixed-radix encoding of the vector.
+        let MvaScratch {
+            q,
+            stride,
+            pop,
+            demand,
+            residence,
+            queueing,
+        } = scratch;
+        // Mean queue length at each center for every population vector,
+        // indexed by mixed-radix encoding of the vector. Delay-center slots
+        // stay 0.0, so every center's residence is d·(1 + q), which is
+        // exactly d at a delay center.
         q.clear();
         q.resize(lattice * c_n, 0.0);
         // Strides for mixed-radix indexing: index = Σ n_k · stride_k.
         stride.clear();
-        stride.resize(k_n, 0);
-        pop.clear();
-        pop.resize(k_n, 0);
         let mut acc = 1usize;
-        for (s, &p) in stride.iter_mut().zip(&self.populations) {
-            *s = acc;
+        for &p in &self.populations {
+            stride.push(acc);
             acc *= p + 1;
         }
+        pop.clear();
+        pop.resize(k_n, 0);
+        demand.clear();
+        for d in &self.demands {
+            demand.extend_from_slice(d);
+        }
+        residence.clear();
+        residence.resize(k_n * c_n, 0.0);
+        queueing.clear();
+        queueing.extend((0..c_n).filter(|&c| self.centers[c].kind == CenterKind::Queueing));
 
-        {
-            let x = &mut out.throughput;
-            let residence = &mut out.residence;
-
-            // Enumerate population vectors in mixed-radix counting order;
-            // every n − e_k precedes n, so its queue lengths are already
-            // available.
-            for idx in 1..lattice.max(2) {
-                if k_n == 0 {
+        let x = &mut out.throughput;
+        // Enumerate population vectors in mixed-radix counting order; every
+        // n − e_k precedes n, so its queue lengths are already available.
+        for idx in 1..lattice {
+            // Step the odometer from idx − 1's vector to idx's.
+            for (p, &population) in pop.iter_mut().zip(&self.populations) {
+                if *p < population {
+                    *p += 1;
                     break;
                 }
-                // Decode idx → pop.
-                let mut rem = idx;
-                for (p, &population) in pop.iter_mut().zip(&self.populations) {
-                    let radix = population + 1;
-                    *p = rem % radix;
-                    rem /= radix;
+                *p = 0;
+            }
+            let (before, rest) = q.split_at_mut(idx * c_n);
+            let row = &mut rest[..c_n];
+            for k in 0..k_n {
+                let n = pop[k];
+                if n == 0 {
+                    x[k] = 0.0;
+                    continue;
                 }
-                if idx >= lattice {
-                    break;
+                let at = k * c_n;
+                let below = (idx - stride[k]) * c_n;
+                let r = &mut residence[at..at + c_n];
+                let mut total_r = 0.0;
+                for ((r, &d), &q_minus) in r
+                    .iter_mut()
+                    .zip(&demand[at..at + c_n])
+                    .zip(&before[below..below + c_n])
+                {
+                    *r = d * (1.0 + q_minus);
+                    total_r += *r;
                 }
-
-                for k in 0..k_n {
-                    if pop[k] == 0 {
-                        x[k] = 0.0;
-                        continue;
+                // A chain with zero total demand has infinite throughput;
+                // it adds nothing to the queues.
+                let xk = if total_r > 0.0 {
+                    n as f64 / total_r
+                } else {
+                    f64::INFINITY
+                };
+                x[k] = xk;
+                if xk.is_finite() {
+                    for &c in queueing.iter() {
+                        row[c] += xk * r[c];
                     }
-                    let idx_minus = idx - stride[k];
-                    let mut total_r = 0.0;
-                    for c in 0..c_n {
-                        let d = self.demands[k][c];
-                        let r = match self.centers[c].kind {
-                            CenterKind::Delay => d,
-                            CenterKind::Queueing => d * (1.0 + q[idx_minus * c_n + c]),
-                        };
-                        residence[k][c] = r;
-                        total_r += r;
-                    }
-                    x[k] = if total_r > 0.0 {
-                        pop[k] as f64 / total_r
-                    } else {
-                        // A chain with zero total demand has infinite
-                        // throughput; represent as 0 contribution to queues
-                        // and flag with inf.
-                        f64::INFINITY
-                    };
-                }
-
-                for c in 0..c_n {
-                    let mut qc = 0.0;
-                    for k in 0..k_n {
-                        if pop[k] > 0 && x[k].is_finite() {
-                            qc += x[k] * residence[k][c];
-                        }
-                    }
-                    q[idx * c_n + c] = qc;
                 }
             }
+        }
+        for (k, dst) in out.residence.iter_mut().enumerate() {
+            dst.copy_from_slice(&residence[k * c_n..][..c_n]);
         }
 
         self.finalize_solution(out);
@@ -582,5 +601,189 @@ mod tests {
         let sol = net.solve_exact();
         // Pure delay: X = N / Z.
         assert!((sol.throughput[k] - 2.5).abs() < 1e-12);
+    }
+
+    /// The textbook exact recursion, kept as the oracle of
+    /// [`Network::solve_exact_into`]: it decodes every lattice index with
+    /// a div/mod per chain, reads the nested demand table, matches on the
+    /// center kind per term and tests every queue-sum term.
+    fn solve_exact_reference(net: &Network) -> MvaSolution {
+        let k_n = net.chains();
+        let c_n = net.centers();
+        let lattice = net.lattice_size();
+        let mut out = MvaSolution::empty();
+        out.reset(k_n, c_n);
+        let mut q = vec![0.0; lattice * c_n];
+        let mut stride = vec![0usize; k_n];
+        let mut pop = vec![0usize; k_n];
+        let mut acc = 1usize;
+        for (s, &p) in stride.iter_mut().zip(&net.populations) {
+            *s = acc;
+            acc *= p + 1;
+        }
+        let x = &mut out.throughput;
+        let residence = &mut out.residence;
+        for idx in 1..lattice {
+            let mut rem = idx;
+            for (p, &population) in pop.iter_mut().zip(&net.populations) {
+                let radix = population + 1;
+                *p = rem % radix;
+                rem /= radix;
+            }
+            for k in 0..k_n {
+                if pop[k] == 0 {
+                    x[k] = 0.0;
+                    continue;
+                }
+                let idx_minus = idx - stride[k];
+                let mut total_r = 0.0;
+                for c in 0..c_n {
+                    let d = net.demands[k][c];
+                    let r = match net.centers[c].kind {
+                        CenterKind::Delay => d,
+                        CenterKind::Queueing => d * (1.0 + q[idx_minus * c_n + c]),
+                    };
+                    residence[k][c] = r;
+                    total_r += r;
+                }
+                x[k] = if total_r > 0.0 {
+                    pop[k] as f64 / total_r
+                } else {
+                    f64::INFINITY
+                };
+            }
+            for c in 0..c_n {
+                let mut qc = 0.0;
+                for k in 0..k_n {
+                    if pop[k] > 0 && x[k].is_finite() {
+                        qc += x[k] * residence[k][c];
+                    }
+                }
+                q[idx * c_n + c] = qc;
+            }
+        }
+        net.finalize_solution(&mut out);
+        out
+    }
+
+    /// Every field of two solutions, compared bit for bit.
+    fn assert_same_bits(got: &MvaSolution, want: &MvaSolution, case: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&got.throughput), bits(&want.throughput), "{case}");
+        assert_eq!(bits(&got.response), bits(&want.response), "{case}");
+        assert_eq!(got.residence.len(), want.residence.len(), "{case}");
+        for (g, w) in got.residence.iter().zip(&want.residence) {
+            assert_eq!(bits(g), bits(w), "{case}");
+        }
+        assert_eq!(bits(&got.utilization), bits(&want.utilization), "{case}");
+        assert_eq!(bits(&got.queue_len), bits(&want.queue_len), "{case}");
+    }
+
+    /// splitmix64: the random networks below are a pure function of the
+    /// seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A network with the given center kinds and populations and seeded
+    /// demands: a quarter of the entries are 0, and chain `zero_chain`, if
+    /// any, has no demand anywhere (infinite throughput).
+    fn random_network(
+        kinds: &[CenterKind],
+        pops: &[usize],
+        zero_chain: Option<usize>,
+        seed: &mut u64,
+    ) -> Network {
+        let mut net = Network::new();
+        for (c, &kind) in kinds.iter().enumerate() {
+            net.add_center(format!("c{c}"), kind);
+        }
+        for (k, &p) in pops.iter().enumerate() {
+            net.add_chain(format!("k{k}"), p);
+            for c in 0..kinds.len() {
+                let u = next(seed);
+                let d = if u.is_multiple_of(4) || zero_chain == Some(k) {
+                    0.0
+                } else {
+                    (u >> 11) as f64 / (1u64 << 53) as f64 * 200.0
+                };
+                net.set_demand(k, c, d);
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn exact_kernel_matches_the_reference_bit_for_bit() {
+        use CenterKind::{Delay as D, Queueing as Q};
+        // Debug builds run this test too: cap the lattice.
+        const MAX_LATTICE: usize = 4_096;
+        let mut seed = 0x5EED_0F3A_7A11_u64;
+        let mut scratch = MvaScratch::default();
+        let mut out = MvaSolution::empty();
+        let mut infinite = 0;
+        let mut check = |net: &Network, case: &str| {
+            net.solve_exact_into(&mut scratch, &mut out);
+            assert_same_bits(&out, &solve_exact_reference(net), case);
+            infinite += out.throughput.iter().filter(|x| x.is_infinite()).count();
+        };
+
+        // Delay centers before, between and after the queueing centers,
+        // and an all-delay network.
+        let layouts: [&[CenterKind]; 8] = [
+            &[Q],
+            &[D, Q, Q],
+            &[Q, D, Q],
+            &[Q, Q, D],
+            &[D, Q, D, Q, D],
+            &[Q, Q, Q, Q, D],
+            &[D],
+            &[D, D, D],
+        ];
+        for case in 0..400 {
+            let kinds: Vec<CenterKind> = if case % 2 == 0 {
+                layouts[case / 2 % layouts.len()].to_vec()
+            } else {
+                let c_n = 1 + (next(&mut seed) % 5) as usize;
+                (0..c_n)
+                    .map(|_| {
+                        if next(&mut seed).is_multiple_of(3) {
+                            D
+                        } else {
+                            Q
+                        }
+                    })
+                    .collect()
+            };
+            let k_n = 1 + (next(&mut seed) % 6) as usize;
+            let mut pops: Vec<usize> = (0..k_n).map(|_| (next(&mut seed) % 7) as usize).collect();
+            while pops.iter().map(|&p| p + 1).product::<usize>() > MAX_LATTICE {
+                let big = (0..k_n).max_by_key(|&k| pops[k]).unwrap();
+                pops[big] -= 1;
+            }
+            let zero_chain = (case % 5 == 0).then(|| (next(&mut seed) % k_n as u64) as usize);
+            let net = random_network(&kinds, &pops, zero_chain, &mut seed);
+            check(
+                &net,
+                &format!("case {case}: {kinds:?} {pops:?} zero {zero_chain:?}"),
+            );
+        }
+
+        // The scratch after a larger lattice: the largest allowed, then
+        // smaller ones with more centers and fewer chains.
+        for (kinds, pops) in [
+            (&[Q, Q, D][..], &[3usize, 3, 3, 3, 3, 3][..]),
+            (&[D, Q, D, Q, Q][..], &[2, 1][..]),
+            (&[Q][..], &[0, 4][..]),
+            (&[D, D][..], &[5][..]),
+        ] {
+            let net = random_network(kinds, pops, None, &mut seed);
+            check(&net, &format!("reuse: {kinds:?} {pops:?}"));
+        }
+        assert!(infinite > 0, "no zero-demand chain was exercised");
     }
 }
