@@ -37,6 +37,20 @@ echo "== solver iteration regression gate"
 # Plain per-point counts within +10% of the pinned reference; accelerated
 # totals at most 70% of the plain total (DESIGN.md §12).
 cargo run --release -p carat-bench --bin exp -- bench --check-iters
+echo "== model thread-count gate"
+# The model solves its distinct per-site networks on threads once a site's
+# lattice reaches PARALLEL_LATTICE_MIN (4,096 states), and a site whose
+# network repeats an earlier one bit for bit copies its solution on either
+# path. MB8 at n = 24 has 6,561-state lattices at 5 sites and 18,225 at 8,
+# with such twins at both: the report and the iteration log must not depend
+# on the thread count.
+for sites in 5 8; do
+  for t in 1 2; do
+    cargo run --release -p carat-cli -- model --workload mb8 --n 24 --sites "$sites" --threads "$t" --iter-log "${TMPDIR:-/tmp}/model_${sites}_t$t.csv" > "${TMPDIR:-/tmp}/model_${sites}_t$t.txt"
+  done
+  cmp "${TMPDIR:-/tmp}/model_${sites}_t1.txt" "${TMPDIR:-/tmp}/model_${sites}_t2.txt"
+  cmp "${TMPDIR:-/tmp}/model_${sites}_t1.csv" "${TMPDIR:-/tmp}/model_${sites}_t2.csv"
+done
 echo "== ablations gate"
 # exp ablations asserts its two qualitative claims and exits non-zero if
 # either fails: without deadlock modelling the model predicts less

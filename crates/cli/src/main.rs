@@ -346,12 +346,8 @@ fn print_model(n: u32, r: &ModelReport) {
             ""
         }
     );
-    if !r.convergence.converged {
-        eprintln!(
-            "warning: model did not converge after {} iterations (residual {:.2e}); \
-             results are the last iterate",
-            r.convergence.iterations, r.convergence.residual
-        );
+    if let Some(warning) = r.convergence.warning() {
+        eprintln!("{warning}");
     }
     for node in &r.nodes {
         println!(

@@ -89,6 +89,21 @@ pub struct ConvergenceInfo {
     pub accel_rejected: usize,
 }
 
+impl ConvergenceInfo {
+    /// The warning a caller prints when the iteration did not converge:
+    /// `None` when it did. A non-converged report is the last iterate, not
+    /// a fixed point, so no caller shows it as a result without this line.
+    pub fn warning(&self) -> Option<String> {
+        (!self.converged).then(|| {
+            format!(
+                "warning: model did not converge after {} iterations (residual {:.2e}); \
+                 results are the last iterate",
+                self.iterations, self.residual
+            )
+        })
+    }
+}
+
 /// Full model solution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelReport {
@@ -121,5 +136,24 @@ mod tests {
             ..Default::default()
         });
         assert!((r.total_tx_per_s() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_a_non_converged_solve_warns() {
+        let mut info = ConvergenceInfo {
+            converged: false,
+            iterations: 400,
+            residual: 6.7e-8,
+            ..Default::default()
+        };
+        assert_eq!(
+            info.warning().as_deref(),
+            Some(
+                "warning: model did not converge after 400 iterations (residual 6.70e-8); \
+                 results are the last iterate"
+            )
+        );
+        info.converged = true;
+        assert_eq!(info.warning(), None);
     }
 }

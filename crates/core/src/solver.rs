@@ -498,6 +498,10 @@ struct FixedPoint<'a> {
     /// Per-site networks and MVA buffers. Topology and populations are
     /// fixed; only the demands change between iterations.
     solvers: Vec<SiteSolver>,
+    /// Per site, the first earlier site whose network had bit for bit the
+    /// same inputs in the latest MVA pass, if any; such a twin copies that
+    /// site's solution instead of solving its own.
+    twin: Vec<Option<usize>>,
     /// Threads for the per-site MVA: 1 unless parallel solves were asked
     /// for and some site's lattice is large enough to pay for them.
     threads: usize,
@@ -562,6 +566,7 @@ impl<'a> FixedPoint<'a> {
                 1
             },
             site_inflation: vec![(0.0, 0.0); solvers.len()],
+            twin: vec![None; solvers.len()],
             solvers,
             traffic: TrafficScratch::default(),
             visits: (0..n).map(|_| VisitCounts::zero()).collect(),
@@ -598,8 +603,8 @@ impl<'a> FixedPoint<'a> {
 
     /// Demand assembly (Eqs. 5–10) and the per-site MVA: sets every chain's
     /// demands at its site's CPU, disk (and log disk), TM shadow center
-    /// and delay center, solves every site's closed network, and reads
-    /// back each chain's throughput `X`, cycle time and successful
+    /// and delay center, solves every distinct site's closed network, and
+    /// reads back each chain's throughput `X`, cycle time and successful
     /// execution time `R_s`, and each site's CPU and disk inflation.
     fn site_mva(&mut self, st: &mut [ChainState]) {
         let (params, opts, ctxs) = (self.params, self.opts, self.ctxs);
@@ -653,14 +658,26 @@ impl<'a> FixedPoint<'a> {
             }
         }
 
-        // Sites are independent closed networks: solve them concurrently
-        // when allowed and worthwhile. Each solve writes only its own
-        // buffers with arithmetic identical to the sequential path, so the
-        // results are bitwise equal for any thread count.
+        // Equal inputs give equal outputs: a site whose network has bit for
+        // bit an earlier site's inputs takes that site's solution (DESIGN.md
+        // §7, "Twin sites").
+        for (i, sv) in self.solvers.iter().enumerate() {
+            self.twin[i] = (0..i).find(|&j| self.solvers[j].net.same_inputs(&sv.net));
+        }
+        // The distinct sites are independent closed networks: solve them
+        // concurrently when allowed and worthwhile. Each solve writes only
+        // its own buffers with arithmetic identical to the sequential path,
+        // so the results are bitwise equal for any thread count.
+        let distinct = self
+            .solvers
+            .iter_mut()
+            .zip(&self.twin)
+            .filter_map(|(sv, twin)| twin.is_none().then_some(sv));
         if self.threads > 1 {
-            let per = self.solvers.len().div_ceil(self.threads);
+            let mut distinct: Vec<&mut SiteSolver> = distinct.collect();
+            let per = distinct.len().div_ceil(self.threads);
             std::thread::scope(|scope| {
-                for chunk in self.solvers.chunks_mut(per) {
+                for chunk in distinct.chunks_mut(per) {
                     scope.spawn(move || {
                         for sv in chunk {
                             sv.run();
@@ -669,8 +686,12 @@ impl<'a> FixedPoint<'a> {
                 }
             });
         } else {
-            for sv in &mut self.solvers {
-                sv.run();
+            distinct.for_each(|sv| sv.run());
+        }
+        for (i, twin) in self.twin.iter().enumerate() {
+            if let Some(j) = *twin {
+                let (solved, rest) = self.solvers.split_at_mut(i);
+                rest[0].out.clone_from(&solved[j].out);
             }
         }
 
@@ -1071,5 +1092,53 @@ impl Model {
             });
         }
         ModelReport { nodes, convergence }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use carat_workload::StandardWorkload;
+
+    /// Runs the default solve of MB8 at n = 8 iteration by iteration and
+    /// checks the twin map after every MVA pass.
+    fn assert_twins_every_iteration(sites: usize, want: &[Option<usize>]) {
+        let params = SystemParams::with_sites(sites);
+        let workload = StandardWorkload::Mb8.spec(sites);
+        let opts = ModelOptions::default();
+        let ctxs = chain_contexts(&params, &workload, 8);
+        let mut st: Vec<ChainState> = ctxs
+            .iter()
+            .map(|_| ChainState {
+                n_s: 1.0,
+                sigma: 0.5,
+                ..ChainState::default()
+            })
+            .collect();
+        let mut fp = FixedPoint::new(&params, &opts, &ctxs);
+        let mut accel = AccelEngine::new(&st);
+        for iterations in 1..=MAX_ITER {
+            fp.aborts_and_visits(&mut st);
+            fp.site_mva(&mut st);
+            assert_eq!(fp.twin, want, "{sites} sites, iteration {iterations}");
+            fp.lock_contention(&mut st);
+            fp.distributed_delays(&st);
+            let residual = fp.damped_update(&mut st);
+            let (_, restored) = accel.step(&mut st, residual, iterations, opts.tol);
+            if !restored && residual < opts.tol {
+                return;
+            }
+        }
+        panic!("{sites} sites: no convergence");
+    }
+
+    #[test]
+    fn site_c_twins_site_a_at_three_sites() {
+        assert_twins_every_iteration(3, &[None, None, Some(0)]);
+    }
+
+    #[test]
+    fn no_site_twins_another_at_two_sites() {
+        assert_twins_every_iteration(2, &[None, None]);
     }
 }

@@ -47,40 +47,49 @@ pub fn solve_dense_in_place(m: &mut [f64], x: &mut [f64]) -> Result<(), Singular
     assert_eq!(m.len(), n * n, "matrix shape mismatch");
 
     for col in 0..n {
-        // Partial pivot: pick the row with the largest entry in this column.
-        let pivot_row = (col..n)
-            .max_by(|&r1, &r2| m[r1 * n + col].abs().total_cmp(&m[r2 * n + col].abs()))
-            .expect("non-empty range");
-        if m[pivot_row * n + col].abs() < 1e-12 {
+        // Partial pivot: pick the row with the largest entry in this column,
+        // the last one on a tie.
+        let mut pivot_row = col;
+        let mut largest = m[col * n + col].abs();
+        for row in col + 1..n {
+            let v = m[row * n + col].abs();
+            if v.total_cmp(&largest).is_ge() {
+                (pivot_row, largest) = (row, v);
+            }
+        }
+        if largest < 1e-12 {
             return Err(SingularMatrix);
         }
+        let (upper, lower) = m.split_at_mut((col + 1) * n);
+        let pivot_eq = &mut upper[col * n..];
         if pivot_row != col {
-            for k in 0..n {
-                m.swap(col * n + k, pivot_row * n + k);
-            }
+            pivot_eq.swap_with_slice(&mut lower[(pivot_row - col - 1) * n..][..n]);
             x.swap(col, pivot_row);
         }
-        let pivot = m[col * n + col];
-        for row in (col + 1)..n {
-            let factor = m[row * n + col] / pivot;
+        let pivot = pivot_eq[col];
+        let (x_upper, x_lower) = x.split_at_mut(col + 1);
+        let x_pivot = x_upper[col];
+        for (eq, xr) in lower.chunks_exact_mut(n).zip(x_lower) {
+            let factor = eq[col] / pivot;
             if factor == 0.0 {
                 continue;
             }
-            m[row * n + col] = 0.0;
-            for k in (col + 1)..n {
-                m[row * n + k] -= factor * m[col * n + k];
+            eq[col] = 0.0;
+            for (a, &p) in eq[col + 1..].iter_mut().zip(&pivot_eq[col + 1..]) {
+                *a -= factor * p;
             }
-            x[row] -= factor * x[col];
+            *xr -= factor * x_pivot;
         }
     }
 
     // Back substitution.
     for row in (0..n).rev() {
+        let eq = &m[row * n..][..n];
         let mut acc = x[row];
-        for k in (row + 1)..n {
-            acc -= m[row * n + k] * x[k];
+        for (&a, &xk) in eq[row + 1..].iter().zip(&x[row + 1..]) {
+            acc -= a * xk;
         }
-        x[row] = acc / m[row * n + row];
+        x[row] = acc / eq[row];
     }
     Ok(())
 }

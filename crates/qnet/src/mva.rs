@@ -45,7 +45,7 @@ pub struct Network {
 
 /// Solution of a closed network: per-chain throughputs and response times,
 /// per-center utilizations and mean queue lengths.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct MvaSolution {
     /// Per-chain throughput `X_k` (passages per millisecond).
     pub throughput: Vec<f64>,
@@ -60,6 +60,23 @@ pub struct MvaSolution {
     pub utilization: Vec<f64>,
     /// Per-center time-average population.
     pub queue_len: Vec<f64>,
+}
+
+impl Clone for MvaSolution {
+    fn clone(&self) -> Self {
+        let mut out = Self::default();
+        out.clone_from(self);
+        out
+    }
+
+    /// Copies `source` into the buffers `self` already holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.throughput.clone_from(&source.throughput);
+        self.response.clone_from(&source.response);
+        self.residence.clone_from(&source.residence);
+        self.utilization.clone_from(&source.utilization);
+        self.queue_len.clone_from(&source.queue_len);
+    }
 }
 
 impl MvaSolution {
@@ -97,7 +114,8 @@ impl MvaSolution {
 /// iteration.
 #[derive(Debug, Clone, Default)]
 pub struct MvaScratch {
-    /// Queue lengths per population vector (exact) or per chain (approx).
+    /// `1 + Q_c` per population vector (exact) or queue lengths per chain
+    /// (approx).
     q: Vec<f64>,
     /// Mixed-radix strides of the population lattice.
     stride: Vec<usize>,
@@ -108,8 +126,82 @@ pub struct MvaScratch {
     /// Residence times at the current population vector, laid out like
     /// `demand`.
     residence: Vec<f64>,
-    /// Indices of the queueing centers, ascending.
-    queueing: Vec<usize>,
+    /// Whether each center is a queueing center.
+    queueing: Vec<bool>,
+    /// One state's queue sums, per center, when the center count is known
+    /// only at run time.
+    sums: Vec<f64>,
+}
+
+/// The exact recursion over every population vector after the empty one,
+/// in mixed-radix counting order, on the buffers [`Network::solve_exact_into`]
+/// has set up; writes the throughputs of the last vector, the full
+/// population, into `x`. `C` is the center count, or 0 for a count read
+/// from the scratch at run time. The solver's networks have 1–5 centers; at
+/// those widths the center loops unroll and each state's queue sums stay in
+/// registers. It is kept out of line: inlined into its caller, the 3-center
+/// body ran about twice as slow.
+#[inline(never)]
+fn exact_states<const C: usize>(populations: &[usize], scratch: &mut MvaScratch, x: &mut [f64]) {
+    let MvaScratch {
+        q,
+        stride,
+        pop,
+        demand,
+        residence,
+        queueing,
+        sums,
+    } = scratch;
+    let c_n = if C == 0 { sums.len() } else { C };
+    let mut fixed = [0.0; C];
+    let sums: &mut [f64] = if C == 0 { sums } else { &mut fixed };
+    let lattice = populations.iter().map(|&n| n + 1).product::<usize>();
+    for idx in 1..lattice {
+        // Step the odometer from idx − 1's vector to idx's; every n − e_k
+        // precedes n, so its queue lengths are already in the table.
+        for (p, &population) in pop.iter_mut().zip(populations) {
+            if *p < population {
+                *p += 1;
+                break;
+            }
+            *p = 0;
+        }
+        let (before, rest) = q.split_at_mut(idx * c_n);
+        sums.fill(0.0);
+        for (k, ((&n, &s), xk)) in pop.iter().zip(stride.iter()).zip(x.iter_mut()).enumerate() {
+            if n == 0 {
+                *xk = 0.0;
+                continue;
+            }
+            let below = &before[(idx - s) * c_n..][..c_n];
+            let d = &demand[k * c_n..][..c_n];
+            let r = &mut residence[k * c_n..][..c_n];
+            let mut total_r = 0.0;
+            for c in 0..c_n {
+                r[c] = d[c] * below[c];
+                total_r += r[c];
+            }
+            // A chain with zero total demand has infinite throughput; it
+            // adds nothing to the queues.
+            *xk = if total_r > 0.0 {
+                n as f64 / total_r
+            } else {
+                f64::INFINITY
+            };
+            if xk.is_finite() {
+                // Delay centers are summed too, but never stored.
+                for c in 0..c_n {
+                    sums[c] += *xk * r[c];
+                }
+            }
+        }
+        let row = &mut rest[..c_n];
+        for c in 0..c_n {
+            if queueing[c] {
+                row[c] = 1.0 + sums[c];
+            }
+        }
+    }
 }
 
 impl Network {
@@ -185,6 +277,26 @@ impl Network {
             .max(1)
     }
 
+    /// Whether `other` has this network's inputs bit for bit: the same chain
+    /// populations in order, the same center kinds, and every demand with
+    /// the same bits (`f64::to_bits`, so `0.0` and `-0.0` differ). Names
+    /// are not compared. Two such networks solve to the same bits.
+    pub fn same_inputs(&self, other: &Network) -> bool {
+        self.populations == other.populations
+            && self.centers.len() == other.centers.len()
+            && self
+                .centers
+                .iter()
+                .zip(&other.centers)
+                .all(|(a, b)| a.kind == b.kind)
+            && self
+                .demands
+                .iter()
+                .flatten()
+                .zip(other.demands.iter().flatten())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// Solves the network with **exact MVA**.
     ///
     /// Complexity is `O(lattice_size × chains × centers)`; use
@@ -211,87 +323,45 @@ impl Network {
         let lattice = self.lattice_size();
 
         out.reset(k_n, c_n);
-        let MvaScratch {
-            q,
-            stride,
-            pop,
-            demand,
-            residence,
-            queueing,
-        } = scratch;
-        // Mean queue length at each center for every population vector,
-        // indexed by mixed-radix encoding of the vector. Delay-center slots
-        // stay 0.0, so every center's residence is d·(1 + q), which is
-        // exactly d at a delay center.
-        q.clear();
-        q.resize(lattice * c_n, 0.0);
+        // `1 + Q_c` at each center for every population vector, indexed by
+        // the mixed-radix encoding of the vector. Only queueing centers
+        // are written, so a delay center's slot stays 1.0 and every
+        // residence is d·(1 + q), which is exactly d at a delay center.
+        scratch.q.clear();
+        scratch.q.resize(lattice * c_n, 1.0);
         // Strides for mixed-radix indexing: index = Σ n_k · stride_k.
-        stride.clear();
+        scratch.stride.clear();
         let mut acc = 1usize;
         for &p in &self.populations {
-            stride.push(acc);
+            scratch.stride.push(acc);
             acc *= p + 1;
         }
-        pop.clear();
-        pop.resize(k_n, 0);
-        demand.clear();
+        scratch.pop.clear();
+        scratch.pop.resize(k_n, 0);
+        scratch.demand.clear();
         for d in &self.demands {
-            demand.extend_from_slice(d);
+            scratch.demand.extend_from_slice(d);
         }
-        residence.clear();
-        residence.resize(k_n * c_n, 0.0);
-        queueing.clear();
-        queueing.extend((0..c_n).filter(|&c| self.centers[c].kind == CenterKind::Queueing));
+        scratch.residence.clear();
+        scratch.residence.resize(k_n * c_n, 0.0);
+        scratch.queueing.clear();
+        scratch
+            .queueing
+            .extend(self.centers.iter().map(|c| c.kind == CenterKind::Queueing));
+        scratch.sums.clear();
+        scratch.sums.resize(c_n, 0.0);
 
         let x = &mut out.throughput;
-        // Enumerate population vectors in mixed-radix counting order; every
-        // n − e_k precedes n, so its queue lengths are already available.
-        for idx in 1..lattice {
-            // Step the odometer from idx − 1's vector to idx's.
-            for (p, &population) in pop.iter_mut().zip(&self.populations) {
-                if *p < population {
-                    *p += 1;
-                    break;
-                }
-                *p = 0;
-            }
-            let (before, rest) = q.split_at_mut(idx * c_n);
-            let row = &mut rest[..c_n];
-            for k in 0..k_n {
-                let n = pop[k];
-                if n == 0 {
-                    x[k] = 0.0;
-                    continue;
-                }
-                let at = k * c_n;
-                let below = (idx - stride[k]) * c_n;
-                let r = &mut residence[at..at + c_n];
-                let mut total_r = 0.0;
-                for ((r, &d), &q_minus) in r
-                    .iter_mut()
-                    .zip(&demand[at..at + c_n])
-                    .zip(&before[below..below + c_n])
-                {
-                    *r = d * (1.0 + q_minus);
-                    total_r += *r;
-                }
-                // A chain with zero total demand has infinite throughput;
-                // it adds nothing to the queues.
-                let xk = if total_r > 0.0 {
-                    n as f64 / total_r
-                } else {
-                    f64::INFINITY
-                };
-                x[k] = xk;
-                if xk.is_finite() {
-                    for &c in queueing.iter() {
-                        row[c] += xk * r[c];
-                    }
-                }
-            }
+        match c_n {
+            1 => exact_states::<1>(&self.populations, scratch, x),
+            2 => exact_states::<2>(&self.populations, scratch, x),
+            3 => exact_states::<3>(&self.populations, scratch, x),
+            4 => exact_states::<4>(&self.populations, scratch, x),
+            5 => exact_states::<5>(&self.populations, scratch, x),
+            _ => exact_states::<0>(&self.populations, scratch, x),
         }
         for (k, dst) in out.residence.iter_mut().enumerate() {
-            dst.copy_from_slice(&residence[k * c_n..][..c_n]);
+            dst.copy_from_slice(&scratch.residence[k * c_n..][..c_n]);
         }
 
         self.finalize_solution(out);
@@ -593,6 +663,36 @@ mod tests {
     }
 
     #[test]
+    fn same_inputs_compares_every_input_bit() {
+        let mut net = Network::new();
+        let cpu = net.add_center("CPU", CenterKind::Queueing);
+        let z = net.add_center("Z", CenterKind::Delay);
+        let a = net.add_chain("a", 3);
+        let b = net.add_chain("b", 2);
+        net.set_demand(a, cpu, 1.5);
+        net.set_demand(a, z, 0.0);
+        net.set_demand(b, cpu, 2.25);
+        net.set_demand(b, z, 7.0);
+        assert!(net.same_inputs(&net.clone()));
+
+        let mut lowest_bit = net.clone();
+        lowest_bit.set_demand(b, cpu, f64::from_bits(2.25f64.to_bits() ^ 1));
+        assert!(!net.same_inputs(&lowest_bit));
+
+        let mut negative_zero = net.clone();
+        negative_zero.set_demand(a, z, -0.0);
+        assert!(!net.same_inputs(&negative_zero));
+
+        let mut population = net.clone();
+        population.populations[b] = 3;
+        assert!(!net.same_inputs(&population));
+
+        let mut kinds = net.clone();
+        kinds.centers[z].kind = CenterKind::Queueing;
+        assert!(!net.same_inputs(&kinds));
+    }
+
+    #[test]
     fn delay_only_network() {
         let mut net = Network::new();
         let z = net.add_center("Z", CenterKind::Delay);
@@ -733,8 +833,9 @@ mod tests {
         };
 
         // Delay centers before, between and after the queueing centers,
-        // and an all-delay network.
-        let layouts: [&[CenterKind]; 8] = [
+        // an all-delay network, and 6–8 centers, which no solver network
+        // has: those take the kernel's runtime-width path.
+        let layouts: [&[CenterKind]; 11] = [
             &[Q],
             &[D, Q, Q],
             &[Q, D, Q],
@@ -743,12 +844,15 @@ mod tests {
             &[Q, Q, Q, Q, D],
             &[D],
             &[D, D, D],
+            &[Q, D, Q, Q, D, Q],
+            &[D, Q, Q, Q, Q, Q, D],
+            &[Q, Q, D, Q, Q, D, Q, Q],
         ];
         for case in 0..400 {
             let kinds: Vec<CenterKind> = if case % 2 == 0 {
                 layouts[case / 2 % layouts.len()].to_vec()
             } else {
-                let c_n = 1 + (next(&mut seed) % 5) as usize;
+                let c_n = 1 + (next(&mut seed) % 8) as usize;
                 (0..c_n)
                     .map(|_| {
                         if next(&mut seed).is_multiple_of(3) {
@@ -774,10 +878,12 @@ mod tests {
         }
 
         // The scratch after a larger lattice: the largest allowed, then
-        // smaller ones with more centers and fewer chains.
+        // smaller ones with more centers and fewer chains, and a fixed
+        // width after a runtime one.
         for (kinds, pops) in [
             (&[Q, Q, D][..], &[3usize, 3, 3, 3, 3, 3][..]),
             (&[D, Q, D, Q, Q][..], &[2, 1][..]),
+            (&[Q, D, Q, Q, D, Q, Q][..], &[3, 2][..]),
             (&[Q][..], &[0, 4][..]),
             (&[D, D][..], &[5][..]),
         ] {

@@ -42,6 +42,9 @@ fn main() {
         let mut cfg = ModelConfig::new(StandardWorkload::Mb4.spec(2), 8);
         cfg.params = params_with_disk_b(disk_ms);
         let r = Model::new(cfg).solve();
+        if let Some(warning) = r.convergence.warning() {
+            eprintln!("disk B {disk_ms} ms: {warning}");
+        }
         println!(
             "| {disk_ms:17.0} |       {:5.2} |       {:5.2} | {:5.2} |",
             r.nodes[0].tx_per_s,
@@ -58,6 +61,9 @@ fn main() {
     for per_node in [2usize, 4, 8, 12, 16, 24, 32] {
         let cfg = ModelConfig::new(users(per_node), 8);
         let r = Model::new(cfg).solve();
+        if let Some(warning) = r.convergence.warning() {
+            eprintln!("{per_node} users/node: {warning}");
+        }
         let lu = &r.nodes[0].per_type[&TxType::Lu];
         println!(
             "| {per_node:10} |      {:5.2} |       {:4.1}% |               {:6.1} |",

@@ -27,6 +27,9 @@ fn main() {
     );
     for n in [4u32, 8, 12, 16, 20] {
         let model = Model::new(ModelConfig::new(wl.spec(2), n)).solve();
+        if let Some(warning) = model.convergence.warning() {
+            eprintln!("n = {n}: {warning}");
+        }
         let lu = model.nodes[0]
             .per_chain
             .iter()

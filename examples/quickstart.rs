@@ -17,6 +17,9 @@ fn main() {
 
     // 1. Analytical prediction — milliseconds of CPU time.
     let model = Model::new(ModelConfig::new(workload.clone(), n_requests)).solve();
+    if let Some(warning) = model.convergence.warning() {
+        eprintln!("{warning}");
+    }
     println!(
         "analytical model ({} fixed-point iterations):",
         model.convergence.iterations
