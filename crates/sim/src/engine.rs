@@ -1,41 +1,58 @@
 //! The event-driven simulation engine.
 //!
 //! Each transaction submission is compiled to a linear micro-op program
-//! (`program::compile`); the engine advances program counters, parking
-//! transactions on the CPU/disk queues, the TM server, the DM pool, or a
-//! lock queue. Deadlock victims have their program replaced by an abort
-//! program (rollback I/O per touched site, then resubmission after think
-//! time).
+//! (`program::compile_into`); the engine advances program counters,
+//! parking transactions on the CPU/disk queues, the TM server, the DM
+//! pool, or a lock queue. Deadlock victims have their program replaced by
+//! an abort program (rollback I/O per touched site, then resubmission
+//! after think time).
+//!
+//! This file is the dispatch layer: the engine's types, [`Sim::build`],
+//! the run loop, and `handle`/`advance`, which run the stations and the
+//! TM and DM servers themselves and hand every other event and op to the
+//! layer that owns it. Each layer is one child module, so all of them
+//! share the engine's private state:
+//!
+//! | module | layer |
+//! |---|---|
+//! | `locks` | 2PL and TSO waits, local and global deadlock detection, victims |
+//! | `storage` | begin and access at the storage engine, rollback extent, journal catch-up |
+//! | `net` | messages and retransmission, the 2PC site ops, the abort round |
+//! | `faults` | crashes and restarts, orphans, network splits, replica routing |
+//! | `obs` | metrics hooks, the census, trace events, phase residence |
+//! | `report` | transaction end, the statistics reset, wind-down and the report |
+//! | `lp` (`lp.rs`) | the sharded engine's site logical process |
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
-use std::fmt::Write as _;
 
 use carat_des::{Fcfs, Histogram, Scheduler, Tally, Time};
-use carat_lock::{LockManager, LockMode, Outcome, TimestampManager, TsOutcome, WaitForGraph};
-use carat_obs::{
-    CounterRegistry, MetricKind, MetricsRecorder, TraceEvent, TraceKind, Tracer, UtilState,
-};
+use carat_lock::{LockManager, TimestampManager, WaitForGraph};
+use carat_obs::{MetricKind, MetricsRecorder, TraceKind, Tracer};
 use carat_storage::Database;
 use carat_workload::TxType;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::config::{
-    CcProtocol, DeadlockMode, DegradationPolicy, SimConfig, SimConfigError, VictimPolicy,
-};
-use crate::metrics::{AvailabilityReport, NodeReport, SimReport, TypeReport};
-use crate::program::{
-    compile_into, distinct_blocks_at_with, CompileScratch, Op, Plan, Program, Seg,
-};
+use crate::config::{CcProtocol, SimConfig, SimConfigError};
+use crate::metrics::SimReport;
+use crate::program::{compile_into, CompileScratch, Op, Plan, Program, Seg};
 use crate::slab::{TxId, TxSlab};
 
-// The sharded engine's site-LP methods live in `lp.rs`, declared as a
-// child module so they keep access to the engine's private state.
+mod faults;
+mod locks;
+mod net;
+mod obs;
+mod report;
+mod storage;
+
+// The sharded engine's site-LP methods live in `lp.rs`, a child module
+// like the layers above.
 #[path = "lp.rs"]
 mod lp;
 use lp::InboxEntry;
 pub(crate) use lp::XMsg;
+use obs::CensusKey;
 
 /// Events of the simulation.
 ///
@@ -149,6 +166,16 @@ impl Ev {
             Ev::ProbeG { .. } => 15,
         }
     }
+
+    /// The completion event of a service at `site`'s station whose queue
+    /// gauge is `queue`.
+    fn done(queue: MetricKind, site: usize, tx: TxId) -> Ev {
+        match queue {
+            MetricKind::CpuQ => Ev::CpuDone { site, tx },
+            MetricKind::DiskQ => Ev::DiskDone { site, tx },
+            _ => Ev::LogDone { site, tx },
+        }
+    }
 }
 
 /// A structured runtime failure of a simulation run (as opposed to a
@@ -242,6 +269,18 @@ struct NodeState {
     acc_cc_rejections: u64,
 }
 
+impl NodeState {
+    /// The station whose queue gauge is `queue`: the CPU, the database
+    /// disk or the log disk.
+    fn station(&mut self, queue: MetricKind) -> &mut Fcfs<u64> {
+        match queue {
+            MetricKind::CpuQ => &mut self.cpu,
+            MetricKind::DiskQ => &mut self.disk,
+            _ => &mut self.log_disk,
+        }
+    }
+}
+
 /// A live transaction (one submission). `pub(crate)` only so [`XMsg`] can
 /// name it; the fields stay private to this module.
 pub(crate) struct Txn {
@@ -307,43 +346,6 @@ pub(crate) struct Txn {
     /// nothing; always `None` with the recorder off).
     counted: Option<CensusKey>,
 }
-
-/// What one slab entry adds to the per-site census: one active
-/// transaction at its home and, unless it is a ghost, one blocked and/or
-/// one 2PC-deciding transaction at the site it executes at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CensusKey {
-    home: usize,
-    blocked_at: Option<usize>,
-    deciding_at: Option<usize>,
-}
-
-impl CensusKey {
-    fn of(tx: &Txn) -> Self {
-        let here = (!tx.away).then_some(tx.at_site);
-        CensusKey {
-            home: tx.home,
-            blocked_at: here.filter(|_| tx.blocked_since.is_some()),
-            deciding_at: here.filter(|_| tx.decided),
-        }
-    }
-
-    /// The census site per [`CENSUS_KINDS`] entry.
-    fn sites(key: Option<Self>) -> [Option<usize>; 3] {
-        [
-            key.map(|k| k.home),
-            key.and_then(|k| k.blocked_at),
-            key.and_then(|k| k.deciding_at),
-        ]
-    }
-}
-
-/// The gauges [`Sim::census`] counts, in the order of its columns.
-const CENSUS_KINDS: [MetricKind; 3] = [
-    MetricKind::TxActive,
-    MetricKind::TxBlocked,
-    MetricKind::TwopcInflight,
-];
 
 impl Txn {
     /// A blank transaction shell for the recycling pool.
@@ -941,267 +943,12 @@ impl Sim {
         Ok((report, self.tracer.take().map(|b| *b), metrics))
     }
 
-    // --- Metrics hooks. Each reports one family of gauges after the
-    // --- mutations that change it, at the current event time. The
-    // --- recorder ignores unchanged values, filtered kinds and sites this
-    // --- process does not record, so a redundant call is harmless; with
-    // --- the recorder off each hook is one branch.
-
-    /// Records every gauge's state at t = 0, the first point of each
-    /// series.
-    fn obs_seed(&mut self) {
-        if self.metrics.is_none() {
-            return;
-        }
-        for site in 0..self.nodes.len() {
-            for queue in [MetricKind::CpuQ, MetricKind::DiskQ, MetricKind::LogDiskQ] {
-                self.obs_station(site, queue);
-            }
-            self.obs_servers(site);
-            self.obs_locks(site);
-            self.obs_journal(site);
-            let now = self.sched.now();
-            let m = self.metrics.as_deref_mut().expect("checked above");
-            for (kind, count) in CENSUS_KINDS.into_iter().zip(self.census[site]) {
-                m.set(now, site as u32, kind, count as f64);
-            }
-        }
-        self.obs_xmsg();
-    }
-
-    /// Population and utilization state of the station at `site` whose
-    /// queue gauge is `queue` (CPU, database disk or log disk), after an
-    /// arrival, a completion or a statistics reset there.
-    #[inline]
-    fn obs_station(&mut self, site: usize, queue: MetricKind) {
-        let Some(m) = self.metrics.as_deref_mut() else {
-            return;
-        };
-        let node = &self.nodes[site];
-        let (station, util) = match queue {
-            MetricKind::CpuQ => (&node.cpu, MetricKind::CpuUtil),
-            MetricKind::DiskQ => (&node.disk, MetricKind::DiskUtil),
-            _ => (&node.log_disk, MetricKind::LogDiskUtil),
-        };
-        let (now, s) = (self.sched.now(), site as u32);
-        m.set(now, s, queue, station.population() as f64);
-        let (start, last_t, value, area) = station.util_state().state();
-        let state = UtilState {
-            start,
-            last_t,
-            value,
-            area,
-        };
-        m.set_util(now, s, util, state);
-    }
-
-    /// TM population, DM queue and DM servers in use at `site`.
-    #[inline]
-    fn obs_servers(&mut self, site: usize) {
-        let Some(m) = self.metrics.as_deref_mut() else {
-            return;
-        };
-        let node = &self.nodes[site];
-        let (now, s) = (self.sched.now(), site as u32);
-        let tm = node.tm_queue.len() + usize::from(node.tm_busy.is_some());
-        m.set(now, s, MetricKind::TmQ, tm as f64);
-        m.set(now, s, MetricKind::DmQ, node.dm_queue.len() as f64);
-        let in_use = self.cfg.dm_pool - node.dm_free;
-        m.set(now, s, MetricKind::DmInUse, in_use as f64);
-    }
-
-    /// Lock-table depth and waiters at `site`, after a lock-manager call.
-    #[inline]
-    fn obs_locks(&mut self, site: usize) {
-        let Some(m) = self.metrics.as_deref_mut() else {
-            return;
-        };
-        let locks = &self.nodes[site].locks;
-        let (now, s) = (self.sched.now(), site as u32);
-        m.set(
-            now,
-            s,
-            MetricKind::LockDepth,
-            locks.granted_entries() as f64,
-        );
-        m.set(
-            now,
-            s,
-            MetricKind::LockWaiters,
-            locks.waiting_count() as f64,
-        );
-    }
-
-    /// Journal length at `site`, after a storage call that appends to or
-    /// truncates it.
-    #[inline]
-    fn obs_journal(&mut self, site: usize) {
-        let Some(m) = self.metrics.as_deref_mut() else {
-            return;
-        };
-        let bytes = self.nodes[site].db.journal().len_bytes();
-        m.set(
-            self.sched.now(),
-            site as u32,
-            MetricKind::JournalBytes,
-            bytes as f64,
-        );
-    }
-
-    /// Cross-LP messages handled and emitted by this logical process.
-    fn obs_xmsg(&mut self) {
-        let (Some(m), Some(site)) = (self.metrics.as_deref_mut(), self.owned) else {
-            return;
-        };
-        let (now, s) = (self.sched.now(), site as u32);
-        m.set(now, s, MetricKind::XmsgIn, self.xmsg_in as f64);
-        m.set(now, s, MetricKind::XmsgOut, self.xmsg_out as f64);
-    }
-
-    /// Re-counts slab entry `id` in the census after a change of its home,
-    /// `blocked_since`, `decided`, `at_site` or `away`, or its arrival in
-    /// the slab.
-    #[inline]
-    fn census_sync(&mut self, id: TxId) {
-        if self.metrics.is_none() {
-            return;
-        }
-        let Some(tx) = self.txs.get_mut(id) else {
-            return;
-        };
-        let key = Some(CensusKey::of(tx));
-        let old = std::mem::replace(&mut tx.counted, key);
-        self.census_move(old, key);
-    }
-
-    /// Uncounts a transaction that just left the slab.
-    fn census_drop(&mut self, tx: &mut Txn) {
-        if let Some(old) = tx.counted.take() {
-            self.census_move(Some(old), None);
-        }
-    }
-
-    /// Moves one slab entry's census contribution from `old` to `new` and
-    /// records the counts that changed.
-    fn census_move(&mut self, old: Option<CensusKey>, new: Option<CensusKey>) {
-        if old == new {
-            return;
-        }
-        let (from, to) = (CensusKey::sites(old), CensusKey::sites(new));
-        let now = self.sched.now();
-        for col in 0..CENSUS_KINDS.len() {
-            if from[col] == to[col] {
-                continue;
-            }
-            for (site, up) in [(from[col], false), (to[col], true)] {
-                let Some(site) = site else { continue };
-                let count = &mut self.census[site][col];
-                if up {
-                    *count += 1;
-                } else {
-                    *count -= 1;
-                }
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.set(now, site as u32, CENSUS_KINDS[col], *count as f64);
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.census_check();
-    }
-
-    /// Debug cross-check: the census counters equal a full slab scan.
-    #[cfg(debug_assertions)]
-    fn census_check(&self) {
-        let mut scan = vec![[0u64; 3]; self.nodes.len()];
-        for (_, tx) in self.txs.iter() {
-            scan[tx.home][0] += 1;
-            if !tx.away {
-                scan[tx.at_site][1] += u64::from(tx.blocked_since.is_some());
-                scan[tx.at_site][2] += u64::from(tx.decided);
-            }
-        }
-        assert_eq!(scan, self.census, "census counters drifted from the slab");
-    }
-
-    /// End-of-run post-processing + report assembly. Pure bookkeeping on
-    /// final state: no events, no statistics beyond the report itself.
-    /// `pub(crate)` so the sharded driver can wind the merged LP down
-    /// after `absorb`.
-    pub(crate) fn wind_down(&mut self, end: Time) -> SimReport {
-        // A node still inside a repair outage at the cutoff has not run
-        // journal recovery yet, so its storage can hold in-place updates of
-        // interrupted transactions (whose locks died with the crash). The
-        // commit audit reads what an operator would read after repair —
-        // recover those nodes first.
-        for node in &mut self.nodes {
-            if !node.up {
-                node.db.crash_and_recover();
-            }
-        }
-        // ... and the operator's repair also ships the queued journal
-        // catch-up to every replica that was lagging when the run ended,
-        // so the audit sees converged replicas.
-        let lagging: Vec<usize> = self.pending_catchup.keys().copied().collect();
-        for site in lagging {
-            self.apply_catchup_site(site, false);
-        }
-        self.report(end)
-    }
-
-    /// Records a trace event. Callers gate on `self.tracer.is_some()`
-    /// first so the event (and any lookups feeding it) is only built when
-    /// tracing is on; with tracing off an emission site is one branch.
-    #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.record(ev);
-        }
-    }
-
     fn handle(&mut self, ev: Ev) {
         self.ev_counts[ev.idx()] += 1;
-        let now = self.sched.now();
         match ev {
-            Ev::CpuDone { site, tx } => {
-                if let Some(started) = self.nodes[site].cpu.complete(now) {
-                    self.sched.schedule_in(
-                        started.service,
-                        Ev::CpuDone {
-                            site,
-                            tx: TxId::from_token(started.job),
-                        },
-                    );
-                }
-                self.obs_station(site, MetricKind::CpuQ);
-                self.step_past(tx);
-            }
-            Ev::DiskDone { site, tx } => {
-                if let Some(started) = self.nodes[site].disk.complete(now) {
-                    self.sched.schedule_in(
-                        started.service,
-                        Ev::DiskDone {
-                            site,
-                            tx: TxId::from_token(started.job),
-                        },
-                    );
-                }
-                self.obs_station(site, MetricKind::DiskQ);
-                self.step_past(tx);
-            }
-            Ev::LogDone { site, tx } => {
-                if let Some(started) = self.nodes[site].log_disk.complete(now) {
-                    self.sched.schedule_in(
-                        started.service,
-                        Ev::LogDone {
-                            site,
-                            tx: TxId::from_token(started.job),
-                        },
-                    );
-                }
-                self.obs_station(site, MetricKind::LogDiskQ);
-                self.step_past(tx);
-            }
+            Ev::CpuDone { site, tx } => self.station_done(site, MetricKind::CpuQ, tx),
+            Ev::DiskDone { site, tx } => self.station_done(site, MetricKind::DiskQ, tx),
+            Ev::LogDone { site, tx } => self.station_done(site, MetricKind::LogDiskQ, tx),
             Ev::NetDone { tx, token } => self.net_delivered(tx, token),
             Ev::NetTimeout { tx, token } => self.net_timed_out(tx, token),
             Ev::Submit { user } => self.submit(user),
@@ -1214,7 +961,7 @@ impl Sim {
             Ev::FaultCrash { site } => self.fault_crash(site),
             Ev::Restart { site } => self.restart_node(site),
             Ev::OrphanResolve { site, gid } => self.resolve_orphan(site, gid),
-            Ev::Warmup => self.reset_stats(now),
+            Ev::Warmup => self.reset_stats(self.sched.now()),
             Ev::PartitionStart { idx } => self.partition_start(idx as usize),
             Ev::PartitionHeal => self.partition_heal(),
             Ev::FaultSplit => self.fault_split(),
@@ -1226,746 +973,89 @@ impl Sim {
         }
     }
 
-    /// A scheduled split begins: adopt the plan's component labels. If a
-    /// stochastic split is already in force the scheduled one supersedes
-    /// its layout; the degraded period runs continuously until the next
-    /// heal (which always heals everything, so no layout can strand a
-    /// component). The `partitions` counter counts degraded *periods*, so
-    /// a superseding layout change does not increment it — that keeps
-    /// `heals <= partitions <= heals + 1` an exact invariant.
-    fn partition_start(&mut self, idx: usize) {
+    /// Queues `job` for `ms` of service at `site`'s station whose queue
+    /// gauge is `queue`. Token 0 is the background (recovery) job.
+    fn station_arrive(&mut self, site: usize, queue: MetricKind, job: TxId, ms: f64) {
         let now = self.sched.now();
-        if !self.partition_active {
-            self.partition_active = true;
-            self.partition_since = now;
-            self.stats.partitions += 1;
+        if let Some(started) = self.nodes[site].station(queue).arrive(now, job.token(), ms) {
+            self.sched
+                .schedule_in(started.service, Ev::done(queue, site, job));
         }
-        for s in 0..self.comp.len() {
-            self.comp[s] = self.cfg.partition_plan.splits[idx].groups[s];
-        }
-        if self.tracer.is_some() {
-            let mut n_comps = 0u32;
-            let mut seen = 0u64; // label bitmap (labels are u8)
-            for &c in &self.comp {
-                if seen & (1 << (c % 64)) == 0 {
-                    seen |= 1 << (c % 64);
-                    n_comps += 1;
-                }
-            }
-            self.trace(TraceEvent::new(
-                now,
-                TraceKind::PartitionSplit,
-                "split",
-                n_comps,
-                0,
-                TxType::Lro,
-            ));
-        }
+        self.obs_station(site, queue);
     }
 
-    /// The current split heals: components rejoin, lagging replicas catch
-    /// up through the journal, and submissions parked by
-    /// `BlockUntilHeal` re-enter the closed network.
-    fn partition_heal(&mut self) {
-        if !self.partition_active {
-            return; // a later-scheduled heal found everything healed
-        }
+    /// A service at `site`'s station `queue` finished for `tx`: start the
+    /// next queued job there and move `tx` past its timed op.
+    fn station_done(&mut self, site: usize, queue: MetricKind, tx: TxId) {
         let now = self.sched.now();
-        self.partition_active = false;
-        self.comp.iter_mut().for_each(|c| *c = 0);
-        self.stats.heals += 1;
-        self.stats.partition_ms += now - self.partition_since.max(self.stats.window_start);
-        // Journal catch-up onto every lagging replica that is up (a site
-        // still in a crash outage catches up at its restart instead).
-        let mut lagging = std::mem::take(&mut self.sites_scratch);
-        lagging.clear();
-        lagging.extend(self.pending_catchup.keys().copied());
-        for &site in &lagging {
-            self.apply_catchup_site(site, true);
-        }
-        lagging.clear();
-        self.sites_scratch = lagging;
-        for i in 0..self.heal_waiters.len() {
-            let user = self.heal_waiters[i];
+        if let Some(started) = self.nodes[site].station(queue).complete(now) {
+            let next = TxId::from_token(started.job);
             self.sched
-                .schedule_in(self.cfg.params.think_time_ms, Ev::Submit { user });
+                .schedule_in(started.service, Ev::done(queue, site, next));
         }
-        self.heal_waiters.clear();
-        if self.tracer.is_some() {
-            self.trace(TraceEvent::new(
-                now,
-                TraceKind::PartitionHeal,
-                "heal",
-                1,
-                0,
-                TxType::Lro,
-            ));
-        }
-    }
-
-    /// Stochastic split from the MTBP process: cut the cluster at a random
-    /// boundary into two components and draw the heal. Exactly one pending
-    /// `FaultSplit` exists at all times (a draw landing inside an active
-    /// split just redraws), so the process can never multiply.
-    fn fault_split(&mut self) {
-        let (mtbp, mtth) = (
-            self.cfg.partition_plan.mtbp_ms,
-            self.cfg.partition_plan.mtth_ms,
-        );
-        let next = self.exp_sample(mtbp);
-        self.sched.schedule_in(next, Ev::FaultSplit);
-        if self.partition_active {
-            return;
-        }
-        let now = self.sched.now();
-        let sites = self.comp.len();
-        // Validation guarantees sites >= 2 when the MTBP process is on.
-        let cut = self.fault_rng.gen_range(1..sites);
-        for s in 0..sites {
-            self.comp[s] = u8::from(s >= cut);
-        }
-        self.partition_active = true;
-        self.partition_since = now;
-        self.stats.partitions += 1;
-        let heal_in = self.exp_sample(mtth);
-        self.sched.schedule_in(heal_in, Ev::PartitionHeal);
-        if self.tracer.is_some() {
-            self.trace(
-                TraceEvent::new(
-                    now,
-                    TraceKind::PartitionSplit,
-                    "fault-split",
-                    2,
-                    0,
-                    TxType::Lro,
-                )
-                .detail(cut as u64),
-            );
-        }
-    }
-
-    /// Replays the queued journal catch-up onto `site`'s storage engine:
-    /// each missed committed write is re-applied in commit order under its
-    /// original writer's gid (begin → update → commit), so the lagging
-    /// replica converges to exactly the committed history the audit
-    /// expects. `live` charges the replay I/O to the site's background
-    /// disk; end-of-run replay is pure post-processing.
-    fn apply_catchup_site(&mut self, site: usize, live: bool) {
-        let Some(list) = self.pending_catchup.remove(&site) else {
-            return;
-        };
-        if !self.nodes[site].up {
-            // Still in a crash outage: the restart replays it instead.
-            self.pending_catchup.insert(site, list);
-            return;
-        }
-        let mut deferred = Vec::new();
-        let mut n = 0u64;
-        let mut i = 0;
-        while i < list.len() {
-            let gid = list[i].0;
-            let mut begun = false;
-            while i < list.len() && list[i].0 == gid {
-                let rid = list[i].1;
-                i += 1;
-                if self.last_committed.get(&(site, rid)) != Some(&gid) {
-                    // Superseded: a newer writer committed this record
-                    // after the miss was queued — replaying the stale
-                    // image would roll the replica backwards.
-                    continue;
-                }
-                if self.nodes[site].locks.is_contended(rid.block)
-                    || self.nodes[site].tso.block_pending(rid.block)
-                {
-                    // A live transaction holds this block at the replica —
-                    // typically one frozen in presumed-abort termination
-                    // across the split with an uncommitted in-place
-                    // update. Rollback restores whole-block before-images,
-                    // so replaying beneath it would be undone when it
-                    // resolves. Defer; the next transaction end drains us.
-                    deferred.push((gid, rid));
-                    continue;
-                }
-                if !begun {
-                    self.nodes[site].db.begin(gid).expect(
-                        "catch-up begin: writer gid is not live at a replica it never reached",
-                    );
-                    begun = true;
-                }
-                self.val_buf.clear();
-                write!(self.val_buf, "g{gid}b{}s{}", rid.block, rid.slot)
-                    .expect("format into String cannot fail");
-                self.nodes[site]
-                    .db
-                    .update_record(gid, rid, self.val_buf.as_bytes())
-                    .expect("catch-up replay of a committed write");
-                n += 1;
-            }
-            if begun {
-                self.nodes[site]
-                    .db
-                    .commit(gid)
-                    .expect("catch-up commit of a replayed writer");
-            }
-        }
-        if !deferred.is_empty() {
-            self.pending_catchup.insert(site, deferred);
-        }
-        self.obs_journal(site);
-        self.stats.catchup_records += n;
-        if live && n > 0 {
-            // One granule transfer per replayed record, charged to the
-            // background job (gid 0) like recovery I/O.
-            let ms = n as f64 * self.cfg.params.nodes[site].disk_io_ms;
-            self.nodes[site].io_ops += n;
-            let now = self.sched.now();
-            if let Some(started) = self.nodes[site].disk.arrive(now, 0, ms) {
-                self.sched.schedule_in(
-                    started.service,
-                    Ev::DiskDone {
-                        site,
-                        tx: TxId::from_token(0),
-                    },
-                );
-            }
-            self.obs_station(site, MetricKind::DiskQ);
-        }
-        if self.tracer.is_some() && n > 0 {
-            let now = self.sched.now();
-            self.trace(
-                TraceEvent::new(
-                    now,
-                    TraceKind::ReplicaCatchup,
-                    "catchup",
-                    site as u32,
-                    0,
-                    TxType::Lro,
-                )
-                .detail(n),
-            );
-        }
-    }
-
-    /// Exponential sample with the given mean, from the fault stream.
-    fn exp_sample(&mut self, mean_ms: f64) -> f64 {
-        let u: f64 = self.fault_rng.gen_range(0.0..1.0);
-        -(1.0 - u).ln() * mean_ms
-    }
-
-    /// Stochastic crash from the MTTF process: with a repair time the node
-    /// goes down for an Exp(MTTR) outage (the next failure is drawn at
-    /// restart); without one it recovers instantly and the next failure is
-    /// drawn immediately.
-    fn fault_crash(&mut self, site: usize) {
-        if !self.nodes[site].up {
-            return;
-        }
-        let (mttf, mttr) = (self.cfg.fault_plan.mttf_ms, self.cfg.fault_plan.mttr_ms);
-        if mttr > 0.0 {
-            let downtime = self.exp_sample(mttr);
-            self.crash_node(site, Some(downtime));
-        } else {
-            self.crash_node(site, None);
-            let next = self.exp_sample(mttf);
-            self.sched.schedule_in(next, Ev::FaultCrash { site });
-        }
-    }
-
-    /// Injected node failure: lose the site's volatile state and poison or
-    /// kill every transaction that had touched the site.
-    ///
-    /// With `downtime = None` (scheduled crashes, MTTR = 0) the node
-    /// recovers instantly: journal recovery runs now and affected
-    /// transactions divert to their abort path. With `downtime = Some(d)`
-    /// the node stays down for `d` ms: recovery is deferred to the
-    /// `Restart`, transactions *homed* here are killed outright (their
-    /// coordinator state is gone — participants elsewhere become orphans
-    /// resolved by the presumed-abort termination protocol), and visiting
-    /// transactions are poisoned.
-    ///
-    /// In-flight disk/CPU transfers at the site are allowed to drain (their
-    /// completions are harmless — the owning transactions are poisoned and
-    /// divert to their abort path at the next safe point).
-    fn crash_node(&mut self, site: usize, downtime: Option<f64>) {
-        if !self.nodes[site].up {
-            return; // a scheduled crash hit a node already down
-        }
-        self.stats.crashes += 1;
-        let now = self.sched.now();
-        if self.tracer.is_some() {
-            self.trace(TraceEvent::new(
-                now,
-                TraceKind::Crash,
-                "crash",
-                site as u32,
-                0,
-                TxType::Lro,
-            ));
-        }
-
-        // 1. Storage-level crash + recovery (un-forced journal tail lost,
-        //    every uncommitted transaction's images restored). A node with
-        //    repair time runs recovery at restart instead — nothing touches
-        //    its storage while it is down.
-        if downtime.is_none() {
-            self.nodes[site].db.crash_and_recover();
-            self.obs_journal(site);
-        } else {
-            self.nodes[site].up = false;
-        }
-
-        // 2. Volatile protocol state is gone: collect everyone parked in
-        //    the site's queues so they can be re-activated, then reset.
-        //    The lifetime lock/TSO counters are folded into accumulators
-        //    first — the replacement managers restart from zero, and the
-        //    report must not see totals go backwards.
-        {
-            let n = &mut self.nodes[site];
-            n.acc_lock_requests += n.locks.requests();
-            n.acc_lock_conflicts += n.locks.conflicts();
-            n.acc_cc_rejections += n.tso.rejections();
-        }
-        let mut stranded = std::mem::take(&mut self.stranded_scratch);
-        stranded.clear();
-        {
-            let mut toks = std::mem::take(&mut self.woken_tso_scratch);
-            self.nodes[site].locks.blocked_transactions_into(&mut toks);
-            stranded.extend(toks.iter().map(|&t| TxId::from_token(t)));
-            self.woken_tso_scratch = toks;
-        }
-        stranded.extend(self.nodes[site].tm_queue.drain(..));
-        stranded.extend(self.nodes[site].dm_queue.drain(..));
-        if let Some(holder) = self.nodes[site].tm_busy.take() {
-            // The TM process restarted; its current client no longer holds
-            // the (new) server.
-            if let Some(tx) = self.txs.get_mut(holder) {
-                tx.tm_held = None;
-            }
-        }
-        self.nodes[site].locks = LockManager::new();
-        self.nodes[site].tso = if self.cfg.cc == CcProtocol::TimestampOrderingThomas {
-            TimestampManager::new_with_thomas_rule()
-        } else {
-            TimestampManager::new()
-        };
-        self.nodes[site].dm_free = self.cfg.dm_pool;
-        self.obs_servers(site);
-        self.obs_locks(site);
-        // The site's DM server processes restarted: nobody holds one any
-        // more (without this, the pool over-fills when poisoned holders
-        // "release" their vanished servers at abort time).
-        for (_, tx) in self.txs.iter_mut() {
-            tx.dm_sites.retain(|&s| s != site);
-        }
-        // Orphans registered *at* this site are swept away with the rest of
-        // its volatile state (a later restart's recovery undoes their
-        // storage side; their OrphanResolve events become no-ops).
-        self.orphans.retain(|&(s, _), _| s != site);
-
-        // 3. Poison every live transaction that had touched the site; with
-        //    downtime, transactions homed here are killed outright instead.
-        //    Slab slot order varies with recycling, but the gid (submission
-        //    order) does not — and the kill/poison order below feeds the
-        //    scheduler, so sort by gid to replay identically.
-        let mut victims = std::mem::take(&mut self.victims_scratch);
-        victims.clear();
-        for (id, tx) in self.txs.iter() {
-            if tx.home == site
-                || tx.begun_sites.contains(&site)
-                || tx.dm_sites.contains(&site)
-                || tx.plan.requests.iter().any(|(s, _)| *s == site)
-            {
-                victims.push((tx.gid, id));
-            }
-        }
-        victims.sort_unstable();
-        for &(_, id) in &victims {
-            let homed = self.txs.get(id).is_some_and(|t| t.home == site);
-            if downtime.is_some() && homed {
-                self.kill_homed_tx(id, site);
-                continue;
-            }
-            let tx = self.txs.get_mut(id).expect("live tx");
-            if !tx.aborting && !tx.poisoned {
-                tx.poisoned = true;
-                self.stats.crash_kills += 1;
-            }
-        }
-        victims.clear();
-        self.victims_scratch = victims;
-        // Re-activate the stranded (their waits evaporated with the site).
-        for &id in &stranded {
-            if let Some(tx) = self.txs.get_mut(id) {
-                if let Some(since) = tx.blocked_since.take() {
-                    self.stats.lock_wait.record(now - since);
-                }
-                self.census_sync(id);
-                if !self.ready.contains(&id) {
-                    self.ready.push_back(id);
-                }
-            }
-        }
-        stranded.clear();
-        self.stranded_scratch = stranded;
-        while let Some(id) = self.ready.pop_front() {
-            self.advance(id);
-        }
-        if let Some(d) = downtime {
-            self.sched.schedule_in(d, Ev::Restart { site });
-        }
-    }
-
-    /// Kills a transaction whose home (coordinator) node crashed with
-    /// downtime: the coordinator's volatile state is gone, so the
-    /// transaction cannot continue *or* run a coordinated abort. Its user
-    /// is parked until the node restarts. At every other live site, pending
-    /// waits are withdrawn immediately (nothing must ever block *behind* a
-    /// dead transaction's queue entry) but held locks — including an
-    /// in-doubt prepared participant's — stay until the termination
-    /// protocol fires.
-    fn kill_homed_tx(&mut self, id: TxId, home: usize) {
-        let mut tx = self.txs.remove(id).expect("live tx");
-        self.census_drop(&mut tx);
-        let token = id.token();
-        self.stats.crash_kills += 1;
-        self.tx_killed += 1;
-        let term = self.cfg.fault_plan.termination_ms();
-        for s in 0..self.nodes.len() {
-            if s == home || !self.nodes[s].up {
-                continue;
-            }
-            self.cancel_lock_request(s, token);
-            self.nodes[s].tso.cancel_waits(token);
-            self.nodes[s].tm_queue.retain(|&q| q != id);
-            self.nodes[s].dm_queue.retain(|&q| q != id);
-            self.obs_servers(s);
-            if self.nodes[s].tm_busy == Some(id) {
-                self.grant_tm_to_next(s);
-            }
-            // Whatever the participant still holds here (locks, a DM
-            // server, an in-doubt prepared state) is resolved by the
-            // termination protocol after the coordinator stays silent for
-            // the full retransmission schedule.
-            self.orphans
-                .insert((s, tx.gid), (token, tx.dm_sites.contains(&s)));
-            self.sched.schedule_in(
-                term,
-                Ev::OrphanResolve {
-                    site: s,
-                    gid: tx.gid,
-                },
-            );
-        }
-        self.nodes[home].parked_users.push(tx.user);
-        self.spare_txns.push(tx);
-    }
-
-    /// A crashed node comes back up: run journal recovery (charging its
-    /// I/O to the background), release the recovered state, resubmit the
-    /// users parked during the outage, and draw the next failure.
-    fn restart_node(&mut self, site: usize) {
-        debug_assert!(!self.nodes[site].up, "restart of a node that is up");
-        self.nodes[site].up = true;
-        self.stats.recoveries += 1;
-        if self.tracer.is_some() {
-            let now = self.sched.now();
-            self.trace(TraceEvent::new(
-                now,
-                TraceKind::Recovery,
-                "restart",
-                site as u32,
-                0,
-                TxType::Lro,
-            ));
-        }
-        let undone = self.nodes[site].db.crash_and_recover();
-        self.obs_journal(site);
-        if !undone.is_empty() {
-            // Background recovery I/O: one block restore per undone
-            // transaction's journal extent plus the forced abort records,
-            // charged to the reserved gid 0 so it contends with normal
-            // traffic without belonging to any transaction.
-            let ios = undone.len() as u32 + 1;
-            let ms = ios as f64 * self.cfg.params.nodes[site].disk_io_ms;
-            self.nodes[site].io_ops += ios as u64;
-            let now = self.sched.now();
-            if let Some(started) = self.nodes[site].disk.arrive(now, 0, ms) {
-                self.sched.schedule_in(
-                    started.service,
-                    Ev::DiskDone {
-                        site,
-                        tx: TxId::from_token(0),
-                    },
-                );
-            }
-            self.obs_station(site, MetricKind::DiskQ);
-        }
-        // Writes the replicas committed while this site was down ship over
-        // as journal catch-up — unless a partition currently separates the
-        // site from the writers, in which case the heal replays it.
-        if !self.partition_active {
-            self.apply_catchup_site(site, true);
-        }
-        for user in std::mem::take(&mut self.nodes[site].parked_users) {
-            self.sched
-                .schedule_in(self.cfg.params.think_time_ms, Ev::Submit { user });
-        }
-        let next = self.exp_sample(self.cfg.fault_plan.mttf_ms);
-        self.sched.schedule_in(next, Ev::FaultCrash { site });
-    }
-
-    /// Presumed-abort termination at an orphaned participant: the
-    /// coordinator has been silent for the full retransmission schedule,
-    /// so the participant — in doubt if it had prepared — unilaterally
-    /// aborts, rolls back, releases its locks, and frees its DM server.
-    fn resolve_orphan(&mut self, site: usize, gid: u64) {
-        let Some((token, dm_held)) = self.orphans.remove(&(site, gid)) else {
-            return; // swept away by a crash of this site in the meantime
-        };
-        debug_assert!(self.nodes[site].up, "orphan entry survived a crash");
-        if self.tracer.is_some() {
-            let now = self.sched.now();
-            self.trace(
-                TraceEvent::new(
-                    now,
-                    TraceKind::Recovery,
-                    "orphan-resolve",
-                    site as u32,
-                    gid,
-                    TxType::Lro,
-                )
-                .lane2(token as u32),
-            );
-        }
-        if self.nodes[site].db.is_prepared(gid) {
-            self.stats.in_doubt_resolutions += 1;
-        }
-        if self.nodes[site].db.is_active(gid) {
-            let io = self.nodes[site]
-                .db
-                .rollback(gid)
-                .expect("orphan rollback of a participant verified active at this site");
-            self.obs_journal(site);
-            let ios = io.total();
-            if ios > 0 {
-                let ms = ios as f64 * self.cfg.params.nodes[site].disk_io_ms;
-                self.nodes[site].io_ops += ios as u64;
-                let now = self.sched.now();
-                if let Some(started) = self.nodes[site].disk.arrive(now, 0, ms) {
-                    self.sched.schedule_in(
-                        started.service,
-                        Ev::DiskDone {
-                            site,
-                            tx: TxId::from_token(0),
-                        },
-                    );
-                }
-                self.obs_station(site, MetricKind::DiskQ);
-            }
-        }
-        self.release_locks_and_wake(site, token);
-        self.tso_abort_and_wake(site, token);
-        if dm_held {
-            self.free_dm(site);
-        }
-    }
-
-    /// Sends (or retransmits) the network message of the `Net` op `gid` is
-    /// parked on. Draws the fault plan's coin flips from the dedicated
-    /// fault stream: the message may be lost (lossy link or dead
-    /// destination), delayed by jitter, or delivered twice. When timeouts
-    /// are enabled a retransmission timer with bounded exponential backoff
-    /// is armed alongside every attempt.
-    fn send_message(&mut self, id: TxId, to: usize, ms: f64, attempt: u32) {
-        let fp = self.cfg.fault_plan; // Copy: seven scalars, no clone
-        let token = self.next_token;
-        self.next_token += 1;
-        let from = {
-            let tx = self.txs.get_mut(id).expect("live tx");
-            tx.net_token = Some(token);
-            tx.net_attempt = attempt;
-            tx.at_site
-        };
-        self.stats.net_messages += 1;
-        if self.tracer.is_some() {
-            let now = self.sched.now();
-            let (gid, ty) = {
-                let tx = self.txs.get(id).expect("live tx");
-                (tx.gid, tx.ty)
-            };
-            self.trace(
-                TraceEvent::new(now, TraceKind::NetSend, "send", to as u32, gid, ty)
-                    .lane2(id.token() as u32)
-                    .detail(attempt as u64),
-            );
-        }
-        // The retransmission timer covers the worst-case delivery time plus
-        // the backed-off timeout, so it can never fire for a message that
-        // was actually delivered.
-        if fp.timeout_ms > 0.0 {
-            let deadline = fp.backoff_ms(attempt) + ms + fp.jitter_ms;
-            self.sched
-                .schedule_in(deadline, Ev::NetTimeout { tx: id, token });
-        }
-        // A message to a dead node or across a network split is lost; the
-        // component check precedes the coin flip, but components only ever
-        // differ while a split is in force, so partition-free runs draw
-        // exactly the same fault stream as before.
-        let dropped = !self.nodes[to].up
-            || self.comp[from] != self.comp[to]
-            || (fp.drop_prob > 0.0 && self.fault_rng.gen_bool(fp.drop_prob));
-        if dropped {
-            self.stats.net_drops += 1;
-            if self.tracer.is_some() {
-                let now = self.sched.now();
-                let (gid, ty) = {
-                    let tx = self.txs.get(id).expect("live tx");
-                    (tx.gid, tx.ty)
-                };
-                self.trace(
-                    TraceEvent::new(now, TraceKind::NetDrop, "drop", to as u32, gid, ty)
-                        .lane2(id.token() as u32)
-                        .detail(attempt as u64),
-                );
-            }
-            return; // the timer (armed above) will retransmit
-        }
-        let jitter = if fp.jitter_ms > 0.0 {
-            self.fault_rng.gen_range(0.0..fp.jitter_ms)
-        } else {
-            0.0
-        };
-        self.sched
-            .schedule_in(ms + jitter, Ev::NetDone { tx: id, token });
-        if fp.duplicate_prob > 0.0 && self.fault_rng.gen_bool(fp.duplicate_prob) {
-            self.stats.net_duplicates += 1;
-            let jitter2 = if fp.jitter_ms > 0.0 {
-                self.fault_rng.gen_range(0.0..fp.jitter_ms)
-            } else {
-                0.0
-            };
-            // Same token: whichever copy arrives second is stale.
-            self.sched
-                .schedule_in(ms + jitter2, Ev::NetDone { tx: id, token });
-        }
-    }
-
-    /// A network delivery arrived. Stale tokens (duplicates, copies of a
-    /// send the transaction has moved past) are ignored; a delivery to a
-    /// node that died in flight counts as a drop and leaves the
-    /// retransmission timer to recover.
-    fn net_delivered(&mut self, id: TxId, token: u64) {
-        let Some(tx) = self.txs.get(id) else { return };
-        if tx.net_token != Some(token) {
-            return;
-        }
-        let from = tx.at_site;
-        let Op::Net { to, .. } = tx.prog.ops[tx.pc] else {
-            return;
-        };
-        // A destination that died — or was cut off by a split — while the
-        // message was in flight never receives it; the retransmission
-        // timer recovers the sender.
-        if !self.nodes[to].up || self.comp[from] != self.comp[to] {
-            self.stats.net_drops += 1;
-            if self.tracer.is_some() {
-                let now = self.sched.now();
-                let name = if self.nodes[to].up {
-                    "split-dest"
-                } else {
-                    "dead-dest"
-                };
-                let (gid, ty) = {
-                    let t = self.txs.get(id).expect("live tx");
-                    (t.gid, t.ty)
-                };
-                self.trace(
-                    TraceEvent::new(now, TraceKind::NetDrop, name, to as u32, gid, ty)
-                        .lane2(id.token() as u32),
-                );
-            }
-            return;
-        }
-        let tx = self.txs.get_mut(id).expect("live tx");
-        tx.net_token = None;
-        tx.at_site = to;
-        self.census_sync(id);
-        self.step_past(id);
-    }
-
-    /// A retransmission timer fired. If the send it covered is still
-    /// outstanding, retransmit — or, once the retry budget is exhausted on
-    /// the forward path, presume the peer dead and abort the transaction.
-    /// Aborting and decided transactions retry past the bound (at the
-    /// capped backoff) so cleanup and commit decisions always reach every
-    /// participant eventually.
-    fn net_timed_out(&mut self, id: TxId, token: u64) {
-        let Some(tx) = self.txs.get(id) else { return };
-        if tx.net_token != Some(token) {
-            return;
-        }
-        let Op::Net { ms, to } = tx.prog.ops[tx.pc] else {
-            return;
-        };
-        let (attempt, unbounded) = (tx.net_attempt, tx.aborting || tx.decided);
-        let (gid, ty, home, at) = (tx.gid, tx.ty, tx.home, tx.at_site);
-        if unbounded || attempt < self.cfg.fault_plan.max_retries {
-            self.stats.net_retries += 1;
-            if self.tracer.is_some() {
-                let now = self.sched.now();
-                self.trace(
-                    TraceEvent::new(now, TraceKind::NetRetry, "retry", to as u32, gid, ty)
-                        .lane2(id.token() as u32)
-                        .detail(attempt as u64 + 1),
-                );
-            }
-            self.send_message(id, to, ms, attempt.saturating_add(1));
-        } else {
-            self.stats.timeout_aborts += 1;
-            if self.partition_active && self.comp[at] != self.comp[to] {
-                // The retry budget died against an unreachable component:
-                // this abort is the partition's doing, not a lossy link's.
-                self.stats.partition_aborts += 1;
-            }
-            if self.tracer.is_some() {
-                let now = self.sched.now();
-                self.trace(
-                    TraceEvent::new(
-                        now,
-                        TraceKind::DeadlockVictim,
-                        "timeout",
-                        home as u32,
-                        gid,
-                        ty,
-                    )
-                    .lane2(id.token() as u32),
-                );
-            }
-            self.txs.get_mut(id).expect("live tx").net_token = None;
-            self.start_abort_program(id);
-            self.ready.push_back(id);
-        }
+        self.obs_station(site, queue);
+        self.step_past(tx);
     }
 
     /// Completion of a timed op: account its residence (queueing +
     /// service) to its phase, move past it, and make the tx runnable.
-    fn step_past(&mut self, id: TxId) {
-        let now = self.sched.now();
-        if let Some(tx) = self.txs.get_mut(id) {
+    pub(super) fn step_past(&mut self, id: TxId) {
+        if let Some(tx) = self.txs.get(id) {
             let seg = tx.prog.segs[tx.pc];
-            let (home, ty, gid) = (tx.home, tx.ty, tx.gid);
-            let elapsed = now - tx.op_started;
-            tx.pc += 1;
-            self.ready.push_back(id);
-            self.stats.add_phase(home, ty, seg, elapsed);
-            if self.tracer.is_some() {
-                self.trace(
-                    TraceEvent::new(now, TraceKind::Phase, seg.label(), home as u32, gid, ty)
-                        .lane2(id.token() as u32)
-                        .dur(elapsed),
-                );
-            }
+            self.resume(id, seg);
         }
+    }
+
+    /// Moves `id` past the op it was parked on and makes it runnable,
+    /// charging the time since the op started to phase `seg`.
+    fn resume(&mut self, id: TxId, seg: Seg) {
+        let tx = self.txs.get_mut(id).expect("resumed tx is live");
+        let waited = self.sched.now() - tx.op_started;
+        tx.pc += 1;
+        self.ready.push_back(id);
+        self.charge(id, seg, waited);
+    }
+
+    /// Hands `site`'s TM server (`seg` = [`Seg::TmWait`]) or one of its DM
+    /// servers ([`Seg::DmWait`]) to the next *live* queued waiter, skipping
+    /// transactions killed by a crash, and resumes it past its acquire op.
+    /// Returns the new holder, if any waited.
+    fn hand_off(&mut self, site: usize, seg: Seg) -> Option<TxId> {
+        let node = &mut self.nodes[site];
+        let queue = if seg == Seg::TmWait {
+            &mut node.tm_queue
+        } else {
+            &mut node.dm_queue
+        };
+        let next = std::iter::from_fn(|| queue.pop_front()).find(|&w| self.txs.contains(w))?;
+        self.resume(next, seg);
+        Some(next)
+    }
+
+    /// Hands the TM server at `site` to the next live queued waiter, or
+    /// marks it free.
+    pub(super) fn grant_tm_to_next(&mut self, site: usize) {
+        let next = self.hand_off(site, Seg::TmWait);
+        if let Some(next) = next {
+            self.txs.get_mut(next).expect("new TM holder").tm_held = Some(site);
+        }
+        self.nodes[site].tm_busy = next;
+        self.obs_servers(site);
+    }
+
+    /// Returns one DM server at `site` to the pool, handing it directly to
+    /// the next live queued waiter if there is one.
+    pub(super) fn free_dm(&mut self, site: usize) {
+        match self.hand_off(site, Seg::DmWait) {
+            Some(next) => self
+                .txs
+                .get_mut(next)
+                .expect("new DM holder")
+                .dm_sites
+                .push(site),
+            None => self.nodes[site].dm_free = self.nodes[site].dm_free.saturating_add(1),
+        }
+        self.obs_servers(site);
     }
 
     fn submit(&mut self, user: usize) {
@@ -1994,7 +1084,7 @@ impl Sim {
             // is allocated: a refused submission never entered execution
             // (the plan was sampled, so the workload stream stays in step
             // with partition-free runs — routing itself draws no RNG).
-            match self.route_plan(home, ty, user, &mut tx) {
+            match self.route_plan(home, ty, &mut tx) {
                 RouteOutcome::Proceed => {}
                 RouteOutcome::Refuse => {
                     // Degrade by aborting before execution: counted as an
@@ -2058,182 +1148,13 @@ impl Sim {
             self.gid_index.insert(gid, id);
         }
         self.ready.push_back(id);
-        if self.tracer.is_some() {
-            let t = self.sched.now();
-            self.trace(
-                TraceEvent::new(t, TraceKind::TxSubmit, "submit", home as u32, gid, ty)
-                    .lane2(id.token() as u32),
-            );
-        }
+        self.trace_tx(id, TraceKind::TxSubmit, "submit", home, 0);
     }
 
-    /// Routes a freshly sampled plan onto the replica sets.
-    ///
-    /// The replica set of plan site `s` is the `k` consecutive sites
-    /// `{s, s+1, …, s+k−1 mod S}` (`k` = [`crate::PartitionPlan::replication`]),
-    /// so every site is the primary for its own slice of the data. A
-    /// replica is *usable* when it is up and in the submitter's network
-    /// component. Semantics per request:
-    ///
-    /// * **Read** (read-one): served by the first usable replica, primary
-    ///   first — choosing a later one is a failover. A read whose usable
-    ///   replicas are short of a majority cannot prove freshness; only
-    ///   [`DegradationPolicy::StaleRead`] serves it anyway.
-    /// * **Write** (write-all-reachable): needs a majority quorum of
-    ///   usable replicas. The plan slot is rerouted to the first usable
-    ///   replica and duplicated onto every other usable one (full 2PL +
-    ///   2PC at each); unreachable replicas are recorded in `tx.missed`
-    ///   for journal catch-up at commit.
-    ///
-    /// An unservable request degrades per policy: `Abort`/`StaleRead`
-    /// refuse the submission, `BlockUntilHeal` parks the user while a
-    /// split is in force (and refuses otherwise, since only a heal wakes
-    /// the parked). Routing draws no randomness — the decision is a pure
-    /// function of the plan, the component map, and node liveness.
-    fn route_plan(&mut self, home: usize, ty: TxType, _user: usize, tx: &mut Txn) -> RouteOutcome {
-        let sites = self.nodes.len();
-        let k = self.cfg.partition_plan.replication;
-        let q = self.cfg.partition_plan.write_quorum();
-        let policy = self.cfg.partition_plan.degradation;
-        let my = self.comp[home];
-        let update = ty.is_update();
-        let degrade = |active: bool| match policy {
-            DegradationPolicy::BlockUntilHeal if active => RouteOutcome::Park,
-            _ => RouteOutcome::Refuse,
-        };
-
-        // Pass 1 — feasibility only: no mutation until every request is
-        // known servable, so a refused plan is left exactly as sampled.
-        for slot in &tx.plan.requests {
-            let primary = slot.0;
-            let mut alive = 0usize;
-            for j in 0..k {
-                let r = (primary + j) % sites;
-                if self.nodes[r].up && self.comp[r] == my {
-                    alive += 1;
-                }
-            }
-            let servable = if update {
-                alive >= q
-            } else {
-                alive >= 1 && (alive >= q || policy == DegradationPolicy::StaleRead)
-            };
-            if !servable {
-                return degrade(self.partition_active);
-            }
-        }
-
-        // Pass 2 — reroute reads, expand writes, record missed replicas.
-        let mut extras = std::mem::take(&mut self.route_scratch);
-        extras.clear();
-        let stale_policy = policy == DegradationPolicy::StaleRead;
-        for slot_idx in 0..tx.plan.requests.len() {
-            let primary = tx.plan.requests[slot_idx].0;
-            let mut serve = None;
-            let mut alive = 0usize;
-            for j in 0..k {
-                let r = (primary + j) % sites;
-                if self.nodes[r].up && self.comp[r] == my {
-                    alive += 1;
-                    if serve.is_none() {
-                        serve = Some(r);
-                    }
-                }
-            }
-            let serve = serve.expect("pass 1 verified a usable replica");
-            if update {
-                tx.plan.requests[slot_idx].0 = serve;
-                let mut missed_any = false;
-                for j in 0..k {
-                    let r = (primary + j) % sites;
-                    if r == serve {
-                        continue;
-                    }
-                    if self.nodes[r].up && self.comp[r] == my {
-                        extras.push((slot_idx, r));
-                    } else {
-                        missed_any = true;
-                        for &rid in &tx.plan.requests[slot_idx].1 {
-                            tx.missed.push((r, rid));
-                        }
-                    }
-                }
-                if missed_any || serve != primary {
-                    self.stats.failovers += 1;
-                    if self.tracer.is_some() {
-                        let now = self.sched.now();
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::Failover,
-                                "write-quorum",
-                                serve as u32,
-                                self.next_gid,
-                                ty,
-                            )
-                            .detail(primary as u64),
-                        );
-                    }
-                }
-            } else {
-                if serve != primary {
-                    self.stats.degraded_reads += 1;
-                    self.stats.failovers += 1;
-                    if self.tracer.is_some() {
-                        let now = self.sched.now();
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::Failover,
-                                "read",
-                                serve as u32,
-                                self.next_gid,
-                                ty,
-                            )
-                            .detail(primary as u64),
-                        );
-                    }
-                }
-                if alive < q && stale_policy {
-                    self.stats.stale_reads += 1;
-                }
-                tx.plan.requests[slot_idx].0 = serve;
-            }
-        }
-        // Appending while iterating would invalidate slot indices, so the
-        // write expansions land after the loop (order is deterministic:
-        // slot-major, replica-minor).
-        for &(slot_idx, r) in &extras {
-            let records = tx.plan.requests[slot_idx].1.clone();
-            tx.plan.requests.push((r, records));
-        }
-        extras.clear();
-        self.route_scratch = extras;
-        RouteOutcome::Proceed
-    }
-
-    fn reset_stats(&mut self, now: Time) {
-        for n in &mut self.nodes {
-            n.cpu.reset_stats(now);
-            n.disk.reset_stats(now);
-            n.log_disk.reset_stats(now);
-            n.io_ops = 0;
-            n.base_lock_requests = n.acc_lock_requests + n.locks.requests();
-            n.base_lock_conflicts = n.acc_lock_conflicts + n.locks.conflicts();
-            n.base_cc_rejections = n.acc_cc_rejections + n.tso.rejections();
-        }
-        for site in 0..self.nodes.len() {
-            for queue in [MetricKind::CpuQ, MetricKind::DiskQ, MetricKind::LogDiskQ] {
-                self.obs_station(site, queue);
-            }
-        }
-        self.stats = Stats {
-            window_start: now,
-            ..Stats::default()
-        };
-    }
-
-    /// Advances a transaction's program until it parks or finishes.
+    /// Advances a transaction's program until it parks or finishes. Timed
+    /// ops park it at a station or on the network, the acquire ops may
+    /// park it on a server queue, and the other zero-time ops run in the
+    /// layer that owns them.
     fn advance(&mut self, id: TxId) {
         let token = id.token();
         loop {
@@ -2245,37 +1166,22 @@ impl Sim {
                 self.divert_after_crash(id);
                 continue;
             }
-            let Some(tx) = self.txs.get(id) else { return };
             debug_assert!(tx.pc < tx.prog.len(), "program ran off the end");
-            let op = tx.prog.ops[tx.pc]; // Copy: dispatch by value
-            let gid = tx.gid;
-            let ty = tx.ty;
-            match op {
+            match tx.prog.ops[tx.pc] {
                 Op::UseCpu { site, ms } => {
                     self.txs.get_mut(id).expect("live tx").op_started = now;
-                    if let Some(started) = self.nodes[site].cpu.arrive(now, token, ms) {
-                        self.sched
-                            .schedule_in(started.service, Ev::CpuDone { site, tx: id });
-                    }
-                    self.obs_station(site, MetricKind::CpuQ);
+                    self.station_arrive(site, MetricKind::CpuQ, id, ms);
                     return;
                 }
                 Op::UseDisk { site, ms, ios, log } => {
                     self.txs.get_mut(id).expect("live tx").op_started = now;
                     self.nodes[site].io_ops += ios as u64;
-                    if log && self.cfg.separate_log_disk {
-                        if let Some(started) = self.nodes[site].log_disk.arrive(now, token, ms) {
-                            self.sched
-                                .schedule_in(started.service, Ev::LogDone { site, tx: id });
-                        }
-                        self.obs_station(site, MetricKind::LogDiskQ);
+                    let queue = if log && self.cfg.separate_log_disk {
+                        MetricKind::LogDiskQ
                     } else {
-                        if let Some(started) = self.nodes[site].disk.arrive(now, token, ms) {
-                            self.sched
-                                .schedule_in(started.service, Ev::DiskDone { site, tx: id });
-                        }
-                        self.obs_station(site, MetricKind::DiskQ);
-                    }
+                        MetricKind::DiskQ
+                    };
+                    self.station_arrive(site, queue, id, ms);
                     return;
                 }
                 Op::Net { ms, to } => {
@@ -2291,17 +1197,21 @@ impl Sim {
                     return;
                 }
                 Op::AcquireTm { site } => {
-                    let node = &mut self.nodes[site];
-                    if node.tm_busy.is_none() {
+                    let (node, tx) = (
+                        &mut self.nodes[site],
+                        self.txs.get_mut(id).expect("live tx"),
+                    );
+                    let free = node.tm_busy.is_none();
+                    if free {
                         node.tm_busy = Some(id);
-                        let tx = self.txs.get_mut(id).expect("live tx");
                         tx.tm_held = Some(site);
                         tx.pc += 1;
-                        self.obs_servers(site);
                     } else {
                         node.tm_queue.push_back(id);
-                        self.txs.get_mut(id).expect("live tx").op_started = now;
-                        self.obs_servers(site);
+                        tx.op_started = now;
+                    }
+                    self.obs_servers(site);
+                    if !free {
                         return;
                     }
                 }
@@ -2317,22 +1227,22 @@ impl Sim {
                     tx.pc += 1;
                 }
                 Op::AcquireDm { site } => {
-                    if self.txs.get(id).expect("live tx").dm_sites.contains(&site) {
-                        self.bump(id);
+                    let (node, tx) = (
+                        &mut self.nodes[site],
+                        self.txs.get_mut(id).expect("live tx"),
+                    );
+                    if tx.dm_sites.contains(&site) {
+                        tx.pc += 1;
+                    } else if node.dm_free > 0 {
+                        node.dm_free -= 1;
+                        tx.dm_sites.push(site);
+                        tx.pc += 1;
+                        self.obs_servers(site);
                     } else {
-                        let node = &mut self.nodes[site];
-                        if node.dm_free > 0 {
-                            node.dm_free -= 1;
-                            let tx = self.txs.get_mut(id).expect("live tx");
-                            tx.dm_sites.push(site);
-                            tx.pc += 1;
-                            self.obs_servers(site);
-                        } else {
-                            node.dm_queue.push_back(id);
-                            self.txs.get_mut(id).expect("live tx").op_started = now;
-                            self.obs_servers(site);
-                            return;
-                        }
+                        node.dm_queue.push_back(id);
+                        tx.op_started = now;
+                        self.obs_servers(site);
+                        return;
                     }
                 }
                 Op::Lock {
@@ -2340,300 +1250,24 @@ impl Sim {
                     block,
                     exclusive,
                 } => {
-                    if self.cfg.cc != CcProtocol::TwoPhaseLocking {
-                        // Timestamp ordering: the *gid* is the timestamp
-                        // (gids are assigned monotonically and a restart
-                        // gets a fresh, larger one); the slab token merely
-                        // names the transaction.
-                        if self.tracer.is_some() {
-                            let name = if exclusive { "X" } else { "S" };
-                            self.trace(
-                                TraceEvent::new(
-                                    now,
-                                    TraceKind::LockRequest,
-                                    name,
-                                    site as u32,
-                                    gid,
-                                    ty,
-                                )
-                                .lane2(id.token() as u32)
-                                .detail(block as u64),
-                            );
-                        }
-                        let out = if exclusive {
-                            self.nodes[site].tso.write(token, gid, block)
-                        } else {
-                            self.nodes[site].tso.read(token, gid, block)
-                        };
-                        match out {
-                            TsOutcome::Allowed => self.bump(id),
-                            TsOutcome::SkipWrite => {
-                                // Thomas write rule: skip the granule's
-                                // physical I/O and functional update — fast
-                                // forward past its Access op.
-                                let tx = self.txs.get_mut(id).expect("live tx");
-                                while !matches!(
-                                    tx.prog.ops[tx.pc],
-                                    Op::Access { site: s, rid, .. }
-                                        if s == site && rid.block == block
-                                ) {
-                                    tx.pc += 1;
-                                }
-                                tx.pc += 1; // past the Access itself
-                            }
-                            TsOutcome::Rejected => {
-                                if self.tracer.is_some() {
-                                    self.trace(
-                                        TraceEvent::new(
-                                            now,
-                                            TraceKind::DeadlockVictim,
-                                            "cc-reject",
-                                            site as u32,
-                                            gid,
-                                            ty,
-                                        )
-                                        .lane2(id.token() as u32)
-                                        .detail(block as u64),
-                                    );
-                                }
-                                self.start_abort(id, site);
-                                // Continue: run the abort program.
-                            }
-                            TsOutcome::WaitFor(_) => {
-                                let t = self.sched.now();
-                                self.txs.get_mut(id).expect("live tx").blocked_since = Some(t);
-                                self.census_sync(id);
-                                if self.tracer.is_some() {
-                                    self.trace(
-                                        TraceEvent::new(
-                                            now,
-                                            TraceKind::LockBlock,
-                                            "block",
-                                            site as u32,
-                                            gid,
-                                            ty,
-                                        )
-                                        .lane2(id.token() as u32)
-                                        .detail(block as u64),
-                                    );
-                                }
-                                return; // parked until the writer resolves
-                            }
-                        }
-                        continue;
-                    }
-                    let mode = if exclusive {
-                        LockMode::Exclusive
-                    } else {
-                        LockMode::Shared
-                    };
-                    if self.tracer.is_some() {
-                        let name = if exclusive { "X" } else { "S" };
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::LockRequest,
-                                name,
-                                site as u32,
-                                gid,
-                                ty,
-                            )
-                            .lane2(id.token() as u32)
-                            .detail(block as u64),
-                        );
-                    }
-                    let outcome = self.nodes[site].locks.request(token, block, mode);
-                    self.obs_locks(site);
-                    match outcome {
-                        Outcome::Granted => self.bump(id),
-                        Outcome::Queued => {
-                            if self.deadlock_check(id, site) {
-                                if self.tracer.is_some() {
-                                    self.trace(
-                                        TraceEvent::new(
-                                            now,
-                                            TraceKind::DeadlockVictim,
-                                            "deadlock",
-                                            site as u32,
-                                            gid,
-                                            ty,
-                                        )
-                                        .lane2(id.token() as u32)
-                                        .detail(block as u64),
-                                    );
-                                }
-                                self.start_abort(id, site);
-                                // Continue: run the abort program.
-                            } else if self.nodes[site].locks.waiting_block(token).is_some() {
-                                let t = self.sched.now();
-                                self.txs.get_mut(id).expect("live tx").blocked_since = Some(t);
-                                self.census_sync(id);
-                                if self.tracer.is_some() {
-                                    self.trace(
-                                        TraceEvent::new(
-                                            now,
-                                            TraceKind::LockBlock,
-                                            "block",
-                                            site as u32,
-                                            gid,
-                                            ty,
-                                        )
-                                        .lane2(id.token() as u32)
-                                        .detail(block as u64),
-                                    );
-                                }
-                                return; // parked until lock grant
-                            } else {
-                                // A youngest-policy victim abort already
-                                // promoted and granted this request: wake()
-                                // bumped our pc and queued us in `ready`,
-                                // so just yield to the drain loop.
-                                return;
-                            }
-                        }
+                    if self.request_lock(id, site, block, exclusive) {
+                        return;
                     }
                 }
                 Op::Access { site, rid, update } => {
-                    self.ensure_begun(id, site);
-                    if update {
-                        self.val_buf.clear();
-                        write!(self.val_buf, "g{gid}b{}s{}", rid.block, rid.slot)
-                            .expect("format into String cannot fail");
-                        self.nodes[site]
-                            .db
-                            .update_record(gid, rid, self.val_buf.as_bytes())
-                            .expect("update of a begun transaction at a validated address");
-                        self.obs_journal(site);
-                        self.txs
-                            .get_mut(id)
-                            .expect("live tx")
-                            .updated
-                            .push((site, rid));
-                    } else {
-                        self.nodes[site]
-                            .db
-                            .touch_record(gid, rid)
-                            .expect("read by a begun transaction at a validated address");
-                    }
+                    self.access(id, site, rid, update);
                     self.bump(id);
                 }
                 Op::PrepareSite { site } => {
-                    self.ensure_begun(id, site);
-                    self.nodes[site]
-                        .db
-                        .prepare(gid)
-                        .expect("prepare of a transaction begun at this site");
-                    self.obs_journal(site);
-                    if self.tracer.is_some() {
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::TwopcPrepare,
-                                "prepare",
-                                site as u32,
-                                gid,
-                                ty,
-                            )
-                            .lane2(id.token() as u32),
-                        );
-                    }
+                    self.prepare_site(id, site);
                     self.bump(id);
                 }
                 Op::CommitSite { site } => {
-                    // The commit decision is final from the first
-                    // `CommitSite` on: later message losses must deliver
-                    // the outcome, not presume abort (a participant may
-                    // already have committed).
-                    self.txs.get_mut(id).expect("live tx").decided = true;
-                    self.census_sync(id);
-                    let tx = self.txs.get(id).expect("live tx");
-                    if tx.begun_sites.contains(&site) {
-                        // Record the committed writes at this site, then
-                        // commit in storage. `last_committed` and `db` are
-                        // disjoint fields, so the borrow of `tx` stays live.
-                        for &(s, rid) in &tx.updated {
-                            if s == site {
-                                self.last_committed.insert((s, rid), gid);
-                                if self.replicated {
-                                    // Commit applies its value: a commit
-                                    // round delayed across a split can
-                                    // arrive after a journal catch-up
-                                    // already replayed newer history onto
-                                    // this replica — re-asserting the bytes
-                                    // keeps each replica consistent with
-                                    // its own last *applied* commit, which
-                                    // is exactly what the audit checks.
-                                    self.val_buf.clear();
-                                    write!(self.val_buf, "g{gid}b{}s{}", rid.block, rid.slot)
-                                        .expect("format into String cannot fail");
-                                    self.nodes[s]
-                                        .db
-                                        .update_record(gid, rid, self.val_buf.as_bytes())
-                                        .expect("commit-time re-apply of an active write");
-                                }
-                            }
-                        }
-                        self.nodes[site]
-                            .db
-                            .commit(gid)
-                            .expect("commit of a transaction begun at this site");
-                        self.obs_journal(site);
-                    }
-                    if self.cfg.cc == CcProtocol::TwoPhaseLocking {
-                        self.release_locks_and_wake(site, token);
-                    } else {
-                        self.tso_commit_and_wake(site, token);
-                    }
-                    if self.tracer.is_some() {
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::TwopcDecide,
-                                "commit",
-                                site as u32,
-                                gid,
-                                ty,
-                            )
-                            .lane2(id.token() as u32),
-                        );
-                    }
+                    self.commit_site(id, site, token);
                     self.bump(id);
                 }
                 Op::AbortSite { site } => {
-                    // After a crash the site's recovery already rolled this
-                    // transaction back (it is no longer active there).
-                    if self
-                        .txs
-                        .get(id)
-                        .expect("live tx")
-                        .begun_sites
-                        .contains(&site)
-                        && self.nodes[site].db.is_active(gid)
-                    {
-                        self.nodes[site]
-                            .db
-                            .rollback(gid)
-                            .expect("rollback of a transaction verified active at this site");
-                        self.obs_journal(site);
-                    }
-                    if self.cfg.cc == CcProtocol::TwoPhaseLocking {
-                        self.release_locks_and_wake(site, token);
-                    } else {
-                        self.tso_abort_and_wake(site, token);
-                    }
-                    if self.tracer.is_some() {
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::TwopcDecide,
-                                "abort",
-                                site as u32,
-                                gid,
-                                ty,
-                            )
-                            .lane2(id.token() as u32),
-                        );
-                    }
+                    self.abort_site(id, site, token);
                     self.bump(id);
                 }
                 Op::End => {
@@ -2645,1015 +1279,7 @@ impl Sim {
     }
 
     /// Moves `id` past a zero-time op.
-    fn bump(&mut self, id: TxId) {
+    pub(super) fn bump(&mut self, id: TxId) {
         self.txs.get_mut(id).expect("live tx").pc += 1;
-    }
-
-    /// `locks.release_all` + wake at `site`, through the reusable wake
-    /// buffer (the steady-state commit path allocates nothing).
-    fn release_locks_and_wake(&mut self, site: usize, token: u64) {
-        let mut woken = std::mem::take(&mut self.woken_scratch);
-        woken.clear();
-        self.nodes[site].locks.release_all_into(token, &mut woken);
-        self.obs_locks(site);
-        self.wake(&woken);
-        self.woken_scratch = woken;
-    }
-
-    /// `locks.cancel_request` + wake at `site`, buffer-reusing.
-    fn cancel_lock_request(&mut self, site: usize, token: u64) {
-        let mut woken = std::mem::take(&mut self.woken_scratch);
-        woken.clear();
-        self.nodes[site]
-            .locks
-            .cancel_request_into(token, &mut woken);
-        self.obs_locks(site);
-        self.wake(&woken);
-        self.woken_scratch = woken;
-    }
-
-    /// `tso.commit` + retry-wake at `site`, buffer-reusing.
-    fn tso_commit_and_wake(&mut self, site: usize, token: u64) {
-        let mut woken = std::mem::take(&mut self.woken_tso_scratch);
-        woken.clear();
-        self.nodes[site].tso.commit_into(token, &mut woken);
-        self.wake_retry(&woken);
-        self.woken_tso_scratch = woken;
-    }
-
-    /// `tso.abort` + retry-wake at `site`, buffer-reusing.
-    fn tso_abort_and_wake(&mut self, site: usize, token: u64) {
-        let mut woken = std::mem::take(&mut self.woken_tso_scratch);
-        woken.clear();
-        self.nodes[site].tso.abort_into(token, &mut woken);
-        self.wake_retry(&woken);
-        self.woken_tso_scratch = woken;
-    }
-
-    /// Hands the TM server at `site` to the next *live* queued waiter
-    /// (skipping transactions killed by a crash), or marks it free.
-    fn grant_tm_to_next(&mut self, site: usize) {
-        let now = self.sched.now();
-        let next = loop {
-            match self.nodes[site].tm_queue.pop_front() {
-                Some(cand) if self.txs.contains(cand) => break Some(cand),
-                Some(_) => continue,
-                None => break None,
-            }
-        };
-        self.nodes[site].tm_busy = next;
-        self.obs_servers(site);
-        if let Some(next) = next {
-            // The waiter was parked at its AcquireTm op.
-            let w = self.txs.get_mut(next).expect("queued tx exists");
-            let waited = now - w.op_started;
-            let (home, ty, gid) = (w.home, w.ty, w.gid);
-            w.pc += 1;
-            w.tm_held = Some(site);
-            self.stats.add_phase(home, ty, Seg::TmWait, waited);
-            self.ready.push_back(next);
-            if self.tracer.is_some() {
-                self.trace(
-                    TraceEvent::new(
-                        now,
-                        TraceKind::Phase,
-                        Seg::TmWait.label(),
-                        home as u32,
-                        gid,
-                        ty,
-                    )
-                    .lane2(next.token() as u32)
-                    .dur(waited),
-                );
-            }
-        }
-    }
-
-    /// Returns one DM server at `site` to the pool, handing it directly to
-    /// the next *live* queued waiter if there is one.
-    fn free_dm(&mut self, site: usize) {
-        let now = self.sched.now();
-        let next = loop {
-            match self.nodes[site].dm_queue.pop_front() {
-                Some(cand) if self.txs.contains(cand) => break Some(cand),
-                Some(_) => continue,
-                None => break None,
-            }
-        };
-        if let Some(next) = next {
-            let w = self.txs.get_mut(next).expect("queued tx");
-            w.dm_sites.push(site);
-            w.pc += 1;
-            let waited = now - w.op_started;
-            let (home, ty, gid) = (w.home, w.ty, w.gid);
-            self.stats.add_phase(home, ty, Seg::DmWait, waited);
-            self.ready.push_back(next);
-            if self.tracer.is_some() {
-                self.trace(
-                    TraceEvent::new(
-                        now,
-                        TraceKind::Phase,
-                        Seg::DmWait.label(),
-                        home as u32,
-                        gid,
-                        ty,
-                    )
-                    .lane2(next.token() as u32)
-                    .dur(waited),
-                );
-            }
-        } else {
-            self.nodes[site].dm_free = self.nodes[site].dm_free.saturating_add(1);
-        }
-        self.obs_servers(site);
-    }
-
-    /// Wakes transactions granted a lock by a release: they were parked at
-    /// their `Lock` op, which is now satisfied.
-    fn wake(&mut self, woken: &[(u64, u32)]) {
-        let now = self.sched.now();
-        for &(tok, block) in woken {
-            let id = TxId::from_token(tok);
-            if let Some(tx) = self.txs.get_mut(id) {
-                debug_assert!(
-                    matches!(tx.prog.ops[tx.pc], Op::Lock { .. }),
-                    "woken tx not parked on a lock"
-                );
-                let mut waited = None;
-                if let Some(since) = tx.blocked_since.take() {
-                    self.stats.lock_wait.record(now - since);
-                    self.stats.add_phase(tx.home, tx.ty, Seg::Lw, now - since);
-                    waited = Some(now - since);
-                }
-                tx.pc += 1;
-                self.ready.push_back(id);
-                self.census_sync(id);
-                if self.tracer.is_some() {
-                    let tx = self.txs.get(id).expect("woken tx");
-                    let (home, ty, gid) = (tx.home, tx.ty, tx.gid);
-                    let lane = id.token() as u32;
-                    if let Some(w) = waited {
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::Phase,
-                                Seg::Lw.label(),
-                                home as u32,
-                                gid,
-                                ty,
-                            )
-                            .lane2(lane)
-                            .dur(w),
-                        );
-                    }
-                    self.trace(
-                        TraceEvent::new(now, TraceKind::LockGrant, "grant", home as u32, gid, ty)
-                            .lane2(lane)
-                            .detail(block as u64),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Wakes transactions whose pending-writer wait resolved (timestamp
-    /// ordering): they were parked at their access op, which must now be
-    /// *retried* (the retry may itself reject).
-    fn wake_retry(&mut self, woken: &[u64]) {
-        let now = self.sched.now();
-        for &tok in woken {
-            let id = TxId::from_token(tok);
-            if let Some(tx) = self.txs.get_mut(id) {
-                debug_assert!(
-                    matches!(tx.prog.ops[tx.pc], Op::Lock { .. }),
-                    "retried tx not parked on an access"
-                );
-                let mut waited = None;
-                if let Some(since) = tx.blocked_since.take() {
-                    self.stats.lock_wait.record(now - since);
-                    self.stats.add_phase(tx.home, tx.ty, Seg::Lw, now - since);
-                    waited = Some(now - since);
-                }
-                self.ready.push_back(id);
-                self.census_sync(id);
-                if self.tracer.is_some() {
-                    let tx = self.txs.get(id).expect("woken tx");
-                    let (home, ty, gid) = (tx.home, tx.ty, tx.gid);
-                    let lane = id.token() as u32;
-                    if let Some(w) = waited {
-                        self.trace(
-                            TraceEvent::new(
-                                now,
-                                TraceKind::Phase,
-                                Seg::Lw.label(),
-                                home as u32,
-                                gid,
-                                ty,
-                            )
-                            .lane2(lane)
-                            .dur(w),
-                        );
-                    }
-                    self.trace(
-                        TraceEvent::new(now, TraceKind::LockGrant, "retry", home as u32, gid, ty)
-                            .lane2(lane),
-                    );
-                }
-            }
-        }
-    }
-
-    fn ensure_begun(&mut self, id: TxId, site: usize) {
-        let tx = self.txs.get_mut(id).expect("live tx");
-        if !tx.begun_sites.contains(&site) {
-            tx.begun_sites.push(site);
-            let gid = tx.gid;
-            self.nodes[site]
-                .db
-                .begin(gid)
-                .expect("first begin of a freshly allocated gid at this site");
-        }
-    }
-
-    /// Deadlock detection at lock-request time.
-    ///
-    /// The local WFG of the request's site is always searched immediately
-    /// (CARAT's local detector). Cross-site cycles are handled per
-    /// [`DeadlockMode`]: either by searching the union of all sites' graphs
-    /// right away, or by launching real Chandy–Misra–Haas probe messages.
-    ///
-    /// Returns true iff `id` is a deadlock victim *now*.
-    fn deadlock_check(&mut self, id: TxId, site: usize) -> bool {
-        let token = id.token();
-        if self.cfg.deadlock_mode == DeadlockMode::Probes {
-            // Local search first, on the reusable graph.
-            let mut g = std::mem::take(&mut self.wfg);
-            g.rebuild_from(&self.nodes[site].locks);
-            let deadlocked = g.find_cycle(token).is_some();
-            self.wfg = g;
-            if deadlocked {
-                self.stats.local_deadlocks += 1;
-                return true;
-            }
-            // Launch probes along the blocked edges (the holders may be
-            // active or blocked at other sites; the probe chases them).
-            let alpha = self.cfg.params.comm_delay_ms;
-            let mut targets = std::mem::take(&mut self.probe_targets);
-            self.nodes[site].locks.waits_for_into(token, &mut targets);
-            if self.owned.is_some() {
-                // Coupled engine: probes address transactions by gid and
-                // chase ghosts across LPs through their home site.
-                let initiator_gid = self.txs.get(id).expect("live tx").gid;
-                for &h in &targets {
-                    self.probe_hop_to_holder(initiator_gid, TxId::from_token(h), 32, alpha);
-                }
-            } else {
-                for &h in &targets {
-                    self.sched.schedule_in(
-                        alpha,
-                        Ev::Probe {
-                            initiator: id,
-                            target: TxId::from_token(h),
-                            ttl: 32,
-                        },
-                    );
-                }
-            }
-            self.probe_targets = targets;
-            return false;
-        }
-
-        // Union of every site's wait-for graph, rebuilt into the reusable
-        // graph (edge vectors are recycled across conflicts).
-        let mut g = std::mem::take(&mut self.wfg);
-        g.clear();
-        for node in &self.nodes {
-            g.extend_from(&node.locks);
-        }
-        let Some(mut cycle) = g.find_cycle(token) else {
-            self.wfg = g;
-            return false;
-        };
-        // Locality: at which site does each cycle member wait?
-        let wait_site = |nodes: &[NodeState], t: u64| -> usize {
-            nodes
-                .iter()
-                .position(|n| n.locks.waiting_block(t).is_some())
-                .expect("cycle member is blocked somewhere")
-        };
-        let first_site = wait_site(&self.nodes, cycle[0]);
-        let mut local = true;
-        // One probe hop per cross-site edge in the chased cycle.
-        let mut hops = 0u64;
-        for i in 0..cycle.len() {
-            let s_i = wait_site(&self.nodes, cycle[i]);
-            let s_next = wait_site(&self.nodes, cycle[(i + 1) % cycle.len()]);
-            if s_i != first_site {
-                local = false;
-            }
-            if s_i != s_next {
-                hops += 1;
-            }
-        }
-        if local {
-            self.stats.local_deadlocks += 1;
-        } else {
-            self.stats.global_deadlocks += 1;
-            self.stats.probe_hops += hops;
-        }
-        match self.cfg.victim {
-            VictimPolicy::Requester => {
-                self.wfg = g;
-                true
-            }
-            VictimPolicy::Youngest => {
-                // Unlike the requester policy (which breaks every cycle
-                // through `id` at once), aborting one cycle's youngest may
-                // leave other cycles through `id` intact — loop until no
-                // cycle through the requester remains, or the requester
-                // itself is chosen. "Youngest" = largest gid (tokens are
-                // recycled slab handles with no age meaning).
-                loop {
-                    let victim = *cycle
-                        .iter()
-                        .max_by_key(|&&t| {
-                            self.txs
-                                .get(TxId::from_token(t))
-                                .map(|x| x.gid)
-                                .unwrap_or(0)
-                        })
-                        .expect("non-empty cycle");
-                    if victim == token {
-                        self.wfg = g;
-                        return true;
-                    }
-                    // Abort the chosen victim in place: it is parked on a
-                    // lock (a safe point — no TM held), so withdraw its
-                    // request, run its abort program, and let the requester
-                    // keep waiting; the victim's releases will wake it.
-                    self.abort_parked(TxId::from_token(victim));
-                    g.clear();
-                    for node in &self.nodes {
-                        g.extend_from(&node.locks);
-                    }
-                    match g.find_cycle(token) {
-                        Some(c) => cycle = c,
-                        None => {
-                            self.wfg = g;
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Aborts a transaction that is currently parked on a lock wait
-    /// (deadlock victim under [`VictimPolicy::Youngest`]).
-    fn abort_parked(&mut self, victim: TxId) {
-        debug_assert!(
-            self.txs
-                .get(victim)
-                .is_some_and(|t| matches!(t.prog.ops[t.pc], Op::Lock { .. })),
-            "victim not parked on a lock"
-        );
-        let now = self.sched.now();
-        if let Some(site) = self.blocked_site(victim.token()) {
-            self.cancel_lock_request(site, victim.token());
-        }
-        if let Some(tx) = self.txs.get_mut(victim) {
-            let mut traced = None;
-            if let Some(since) = tx.blocked_since.take() {
-                self.stats.lock_wait.record(now - since);
-                self.stats.add_phase(tx.home, tx.ty, Seg::Lw, now - since);
-                traced = Some(now - since);
-            }
-            if self.tracer.is_some() {
-                let (home, ty, gid) = (tx.home, tx.ty, tx.gid);
-                let lane = victim.token() as u32;
-                if let Some(w) = traced {
-                    self.trace(
-                        TraceEvent::new(
-                            now,
-                            TraceKind::Phase,
-                            Seg::Lw.label(),
-                            home as u32,
-                            gid,
-                            ty,
-                        )
-                        .lane2(lane)
-                        .dur(w),
-                    );
-                }
-                self.trace(
-                    TraceEvent::new(
-                        now,
-                        TraceKind::DeadlockVictim,
-                        "deadlock",
-                        home as u32,
-                        gid,
-                        ty,
-                    )
-                    .lane2(lane),
-                );
-            }
-        }
-        self.census_sync(victim);
-        self.start_abort_program(victim);
-        self.ready.push_back(victim);
-    }
-
-    /// Site at which the transaction with `token` is lock-blocked, if any.
-    fn blocked_site(&self, token: u64) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|n| n.locks.waiting_block(token).is_some())
-    }
-
-    /// Delivery of a Chandy–Misra–Haas probe (`DeadlockMode::Probes`).
-    ///
-    /// Classic edge-chasing: if the probe reached its initiator, a cycle
-    /// exists and the initiator is the victim; if the target is itself
-    /// blocked, the probe is forwarded along the target's wait-for edges;
-    /// a running target absorbs the probe (it will initiate fresh probes
-    /// if it blocks later).
-    fn handle_probe(&mut self, initiator: TxId, target: TxId, ttl: u8) {
-        self.stats.probe_hops += 1;
-        if ttl == 0 {
-            return;
-        }
-        // Stale probe: the initiator moved on (granted or already aborted).
-        let Some(init_site) = self.blocked_site(initiator.token()) else {
-            return;
-        };
-        if !self.txs.contains(initiator) {
-            return;
-        }
-        if self.tracer.is_some() {
-            let now = self.sched.now();
-            let (gid, ty) = {
-                let tx = self.txs.get(initiator).expect("live initiator");
-                (tx.gid, tx.ty)
-            };
-            let target_gid = self.txs.get(target).map(|t| t.gid).unwrap_or(0);
-            self.trace(
-                TraceEvent::new(now, TraceKind::ProbeHop, "hop", init_site as u32, gid, ty)
-                    .lane2(initiator.token() as u32)
-                    .detail(target_gid),
-            );
-        }
-        if target == initiator {
-            // Cycle closed. Like the real protocol this may be a phantom
-            // if an edge vanished while the probe was in flight; the victim
-            // retries either way, so only performance is at stake.
-            self.stats.global_deadlocks += 1;
-            if let Some(tx) = self.txs.get_mut(initiator) {
-                if let Some(since) = tx.blocked_since.take() {
-                    self.stats.lock_wait.record(self.sched.now() - since);
-                }
-            }
-            self.census_sync(initiator);
-            if self.tracer.is_some() {
-                let now = self.sched.now();
-                let (gid, ty) = {
-                    let tx = self.txs.get(initiator).expect("live initiator");
-                    (tx.gid, tx.ty)
-                };
-                self.trace(
-                    TraceEvent::new(
-                        now,
-                        TraceKind::DeadlockVictim,
-                        "probe-cycle",
-                        init_site as u32,
-                        gid,
-                        ty,
-                    )
-                    .lane2(initiator.token() as u32),
-                );
-            }
-            self.start_abort(initiator, init_site);
-            self.ready.push_back(initiator);
-            return;
-        }
-        let Some(target_site) = self.blocked_site(target.token()) else {
-            return; // target is running; it makes progress, no deadlock here
-        };
-        let alpha = self.cfg.params.comm_delay_ms;
-        let mut targets = std::mem::take(&mut self.probe_targets);
-        self.nodes[target_site]
-            .locks
-            .waits_for_into(target.token(), &mut targets);
-        for &h in &targets {
-            let next_hop_remote = self.blocked_site(h).map(|s| s != target_site);
-            let delay = match next_hop_remote {
-                Some(true) | None => alpha,
-                Some(false) => 0.0,
-            };
-            self.sched.schedule_in(
-                delay,
-                Ev::Probe {
-                    initiator,
-                    target: TxId::from_token(h),
-                    ttl: ttl - 1,
-                },
-            );
-        }
-        self.probe_targets = targets;
-    }
-
-    /// Converts `gid` into an aborting transaction: withdraw the pending
-    /// request and replace the remaining program with the rollback
-    /// sequence.
-    fn start_abort(&mut self, id: TxId, blocked_site: usize) {
-        if self.cfg.cc == CcProtocol::TwoPhaseLocking {
-            self.cancel_lock_request(blocked_site, id.token());
-        } else {
-            for node in &mut self.nodes {
-                node.tso.cancel_waits(id.token());
-            }
-        }
-        self.start_abort_program(id);
-    }
-
-    /// Replaces `id`'s remaining program with the rollback sequence.
-    fn start_abort_program(&mut self, id: TxId) {
-        let mut abort_sites = std::mem::take(&mut self.sites_scratch);
-        abort_sites.clear();
-        let (home, ty) = {
-            let tx = self.txs.get(id).expect("live tx");
-            // Rollback is needed wherever the transaction has touched data
-            // (begun ⟺ accessed ⟹ holds locks there); the home site is
-            // always visited so the coordinator processes the abort even if
-            // nothing was touched yet. Down sites are skipped — their
-            // restart recovery undoes the transaction from the journal.
-            abort_sites.extend_from_slice(&tx.begun_sites);
-            if !abort_sites.contains(&tx.home) {
-                abort_sites.push(tx.home);
-            }
-            (tx.home, tx.ty)
-        };
-        abort_sites.retain(|&s| self.nodes[s].up);
-        abort_sites.sort_unstable();
-        *self.stats.aborts.entry((home, ty)).or_default() += 1;
-
-        let alpha = self.cfg.params.comm_delay_ms;
-        let chain = ty.coordinator_chain();
-        // Build into the reusable abort-program scratch; it is swapped with
-        // the transaction's own program below, so the replaced program's
-        // capacity is recycled for the next abort.
-        let mut prog = std::mem::take(&mut self.abort_prog);
-        prog.clear();
-        // Coupled engine: the abort is coordinator-driven, but the victim's
-        // state cannot teleport between logical processes — if it is away
-        // from home when the abort starts, it first migrates back on a real
-        // network hop (the monolithic engine just repoints `at_site`).
-        if self.owned.is_some() && self.txs.get(id).expect("live tx").at_site != home {
-            prog.push(
-                Op::Net {
-                    ms: alpha,
-                    to: home,
-                },
-                Seg::Ta,
-            );
-        }
-        for &site in &abort_sites {
-            // A local type can still have touched a remote site: replica
-            // routing reroutes and expands plans across the replica set.
-            // Such a visit is charged at the type's own (coordinator)
-            // rates, exactly as its forward path was compiled.
-            let exec_chain = if site == home {
-                chain
-            } else {
-                ty.slave_chain().unwrap_or(chain)
-            };
-            if site != home {
-                prog.push(
-                    Op::Net {
-                        ms: alpha,
-                        to: site,
-                    },
-                    Seg::Ta,
-                );
-            }
-            // TA phase: abort message processing.
-            let ta_ms = self.cfg.params.basic.ta_cpu(exec_chain);
-            prog.push(Op::UseCpu { site, ms: ta_ms }, Seg::Ta);
-            // TAIO phase: restore the journaled before-images, one block
-            // write at a time, then force the abort record (see
-            // `carat_storage::Database::rollback` for why the force is
-            // required for correctness).
-            if ty.is_update() {
-                let updated = self.rollback_extent(id, site);
-                if updated > 0 {
-                    let io_ms = self.cfg.params.nodes[site].disk_io_ms;
-                    // `updated` block restores + the forced abort record.
-                    for i in 0..(updated + 1) {
-                        prog.push(
-                            Op::UseDisk {
-                                site,
-                                ms: io_ms,
-                                ios: 1,
-                                log: i == updated,
-                            },
-                            Seg::Taio,
-                        );
-                    }
-                }
-            }
-            prog.push(Op::AbortSite { site }, Seg::Ta);
-            if site != home {
-                prog.push(
-                    Op::Net {
-                        ms: alpha,
-                        to: home,
-                    },
-                    Seg::Ta,
-                );
-            }
-        }
-        prog.push(Op::End, Seg::Ta);
-        abort_sites.clear();
-        self.sites_scratch = abort_sites;
-
-        let tx = self.txs.get_mut(id).expect("live tx");
-        tx.aborting = true;
-        std::mem::swap(&mut tx.prog, &mut prog);
-        self.abort_prog = prog;
-        tx.pc = 0;
-        // Any in-flight send belongs to the replaced program; its delivery
-        // and timer are stale from here on.
-        tx.net_token = None;
-        tx.net_attempt = 0;
-        if self.owned.is_none() {
-            // The abort is coordinator-driven: its messages originate at
-            // home. (In the coupled engine the hop prepended above moves
-            // the transaction home for real instead.)
-            tx.at_site = home;
-            self.census_sync(id);
-        }
-    }
-
-    /// Diverts a crash-poisoned transaction onto its abort path: withdraw
-    /// any pending waits at live sites, then run the usual abort program
-    /// (rollback I/O is only charged where the storage engine still has the
-    /// transaction active — the crashed site's recovery already undid it).
-    fn divert_after_crash(&mut self, id: TxId) {
-        let token = id.token();
-        if let Some(site) = self.blocked_site(token) {
-            if self.cfg.cc == CcProtocol::TwoPhaseLocking {
-                self.cancel_lock_request(site, token);
-            }
-        }
-        if self.cfg.cc != CcProtocol::TwoPhaseLocking {
-            for node in &mut self.nodes {
-                node.tso.cancel_waits(token);
-            }
-        }
-        if let Some(tx) = self.txs.get_mut(id) {
-            tx.blocked_since = None;
-        }
-        self.census_sync(id);
-        self.start_abort_program(id);
-    }
-
-    /// Number of blocks whose before-images must be restored at `site`:
-    /// the distinct blocks this transaction has actually updated there
-    /// (exactly what the storage engine journaled).
-    fn rollback_extent(&mut self, id: TxId, site: usize) -> u32 {
-        let mut set = std::mem::take(&mut self.blocks_scratch);
-        let tx = self.txs.get(id).expect("live tx");
-        // The storage-engine liveness check guards against a crashed
-        // site's recovery having already undone the transaction. In the
-        // coupled engine (no crashes, and a remote `site`'s storage lives
-        // in another logical process) `begun_sites` alone is authoritative.
-        let site_active = self.owned.is_some() || self.nodes[site].db.is_active(tx.gid);
-        let extent = if !tx.begun_sites.contains(&site) || !site_active {
-            0
-        } else {
-            set.clear();
-            for (s, rid) in &tx.updated {
-                if *s == site {
-                    set.insert(rid.block);
-                }
-            }
-            let distinct = set.len() as u32;
-            // `distinct_blocks_at_with` clears the set before use.
-            let planned = distinct_blocks_at_with(&tx.plan, site, &mut set);
-            distinct.min(planned)
-        };
-        self.blocks_scratch = set;
-        extent
-    }
-
-    /// Transaction end: commit bookkeeping, free DMs, schedule the user's
-    /// next submission (rollback already happened in `AbortSite` ops).
-    fn finish(&mut self, id: TxId) {
-        let now = self.sched.now();
-        let mut tx = self.txs.remove(id).expect("live tx");
-        self.census_drop(&mut tx);
-        if !tx.aborting {
-            let key = (tx.home, tx.ty);
-            *self.stats.commits.entry(key).or_default() += 1;
-            *self.stats.records.entry(tx.home).or_default() += tx.plan.total_records();
-            self.stats
-                .resp
-                .entry(key)
-                .or_default()
-                .record(now - tx.submit_time);
-            self.stats
-                .resp_hist
-                .entry(key)
-                .or_insert_with(Histogram::for_latency_ms)
-                .record(now - tx.submit_time);
-            // Writes that missed replicas at routing time are now
-            // committed history: record them as the last committed writer
-            // there and queue the journal catch-up (replayed at heal,
-            // restart, or end of run — the audit self-checks convergence).
-            for &(site, rid) in &tx.missed {
-                self.last_committed.insert((site, rid), tx.gid);
-                self.pending_catchup
-                    .entry(site)
-                    .or_default()
-                    .push((tx.gid, rid));
-            }
-        }
-        if let Some(owned) = self.owned {
-            self.gid_index.remove(&tx.gid);
-            // DM servers at other sites live in other logical processes:
-            // the release travels as a real message (one network delay,
-            // like the EOT cleanup it models). Local ones free directly.
-            for &site in &tx.dm_sites {
-                if site == owned {
-                    self.free_dm(site);
-                } else {
-                    let alpha = self.cfg.params.comm_delay_ms;
-                    self.xmsg_out += 1;
-                    self.obs_xmsg();
-                    self.outbox.push((site, now + alpha, XMsg::DmRelease));
-                }
-            }
-        } else {
-            for &site in &tx.dm_sites {
-                self.free_dm(site);
-            }
-        }
-        // Drain catch-up that was deferred behind held blocks now that this
-        // transaction's locks are released (no-op while a split is still in
-        // force — lagging replicas stay unreachable until the heal).
-        if !self.partition_active && !self.pending_catchup.is_empty() {
-            let mut lagging = std::mem::take(&mut self.sites_scratch);
-            lagging.clear();
-            lagging.extend(self.pending_catchup.keys().copied());
-            for &site in &lagging {
-                self.apply_catchup_site(site, true);
-            }
-            lagging.clear();
-            self.sites_scratch = lagging;
-        }
-        self.sched
-            .schedule_in(self.cfg.params.think_time_ms, Ev::Submit { user: tx.user });
-        if self.tracer.is_some() {
-            let (kind, name) = if tx.aborting {
-                (TraceKind::TxAbort, "abort")
-            } else {
-                (TraceKind::TxCommit, "commit")
-            };
-            self.trace(
-                TraceEvent::new(now, kind, name, tx.home as u32, tx.gid, tx.ty)
-                    .lane2(id.token() as u32),
-            );
-        }
-        // Recycle the transaction's buffers (program, plan, site lists) for
-        // the next submission.
-        self.spare_txns.push(tx);
-    }
-
-    fn report(&mut self, end: Time) -> SimReport {
-        let window = end - self.stats.window_start;
-        // Guard against a degenerate window (an event budget tripping
-        // before warm-up): rates divide by at least a femtosecond.
-        let window_s = (window / 1000.0).max(1e-12);
-        // A split still in force at the cutoff contributes its open
-        // interval to the partition duty time.
-        if self.partition_active {
-            self.partition_active = false;
-            self.stats.partition_ms += end - self.partition_since.max(self.stats.window_start);
-        }
-        let mut nodes = Vec::new();
-        // `report` runs once, at the end of the run — moving each node's
-        // name out of the (about-to-drop) config avoids cloning it.
-        let mut names = std::mem::take(&mut self.cfg.params.nodes);
-        for (i, node) in self.nodes.iter().enumerate() {
-            let mut per_type: BTreeMap<TxType, TypeReport> = BTreeMap::new();
-            let mut tx_total = 0u64;
-            for ty in TxType::ALL {
-                let key = (i, ty);
-                let commits = self.stats.commits.get(&key).copied().unwrap_or(0);
-                let aborts = self.stats.aborts.get(&key).copied().unwrap_or(0);
-                if commits == 0 && aborts == 0 {
-                    continue;
-                }
-                tx_total += commits;
-                let mut phase_ms: BTreeMap<&'static str, f64> = BTreeMap::new();
-                if commits > 0 {
-                    for &seg in &Seg::ALL {
-                        let total = self.stats.phase(i, ty, seg);
-                        if total != 0.0 {
-                            *phase_ms.entry(seg.label()).or_default() += total / commits as f64;
-                        }
-                    }
-                }
-                per_type.insert(
-                    ty,
-                    TypeReport {
-                        phase_ms,
-                        commits,
-                        aborts,
-                        xput_per_s: commits as f64 / window_s,
-                        mean_response_ms: self.stats.resp.get(&key).map(Tally::mean).unwrap_or(0.0),
-                        p50_response_ms: self
-                            .stats
-                            .resp_hist
-                            .get(&key)
-                            .map(|h| h.quantile(0.5))
-                            .unwrap_or(0.0),
-                        p95_response_ms: self
-                            .stats
-                            .resp_hist
-                            .get(&key)
-                            .map(|h| h.quantile(0.95))
-                            .unwrap_or(0.0),
-                    },
-                );
-            }
-            let records = self.stats.records.get(&i).copied().unwrap_or(0);
-            nodes.push(NodeReport {
-                name: std::mem::take(&mut names[i].name),
-                cpu_util: node.cpu.utilization(end),
-                disk_util: node.disk.utilization(end),
-                log_disk_util: node.log_disk.utilization(end),
-                dio_per_s: node.io_ops as f64 / window_s,
-                tx_per_s: tx_total as f64 / window_s,
-                records_per_s: records as f64 / window_s,
-                per_type,
-            });
-        }
-        // Commit audit: every record's stored bytes must be the value
-        // written by its last committed writer (proof that rollback and
-        // recovery never leaked an aborted write into committed state).
-        let mut audit_violations = 0u64;
-        let mut audited = 0u64;
-        for (&(site, rid), &gid) in &self.last_committed {
-            if self.nodes[site].locks.is_contended(rid.block)
-                || self.nodes[site].tso.block_pending(rid.block)
-            {
-                // An in-flight transaction holds the block (2PL lock or
-                // TSO pending write) and may have legitimately overwritten
-                // it; skip until it resolves.
-                continue;
-            }
-            audited += 1;
-            let expect = format!("g{gid}b{}s{}", rid.block, rid.slot);
-            let got = self.nodes[site].db.read_committed(rid);
-            if !got.starts_with(expect.as_bytes()) {
-                audit_violations += 1;
-            }
-        }
-
-        // Lifetime totals = accumulators from replaced managers + the live
-        // manager's counters; the saturating subtraction guards the edge
-        // where the warm-up baseline was taken just before a crash reset.
-        let lock_requests: u64 = self
-            .nodes
-            .iter()
-            .map(|n| {
-                (n.acc_lock_requests + n.locks.requests()).saturating_sub(n.base_lock_requests)
-            })
-            .sum();
-        let lock_conflicts: u64 = self
-            .nodes
-            .iter()
-            .map(|n| {
-                (n.acc_lock_conflicts + n.locks.conflicts()).saturating_sub(n.base_lock_conflicts)
-            })
-            .sum();
-        let cc_rejections: u64 = self
-            .nodes
-            .iter()
-            .map(|n| {
-                (n.acc_cc_rejections + n.tso.rejections()).saturating_sub(n.base_cc_rejections)
-            })
-            .sum();
-        // In-flight census. The coupled engine counts each transaction
-        // exactly once, at its *home* LP (whether resident there or away
-        // as a ghost): residents at remote LPs and remote ghosts are the
-        // same transactions seen from the other side. `absorbed_*` carries
-        // the peers' contributions after the merge.
-        let (live_here, oldest_here) = if self.owned.is_some() {
-            let mut live = 0u64;
-            let mut oldest = 0.0_f64;
-            for (_, tx) in self.txs.iter() {
-                if Some(tx.home) == self.owned {
-                    live += 1;
-                    oldest = oldest.max(end - tx.submit_time);
-                }
-            }
-            (live, oldest)
-        } else {
-            (
-                self.txs.len() as u64,
-                self.txs
-                    .iter()
-                    .map(|(_, tx)| end - tx.submit_time)
-                    .fold(0.0_f64, f64::max),
-            )
-        };
-        let live_at_end = live_here + self.absorbed_live;
-        let mut oldest_inflight_ms = oldest_here;
-        if self.absorbed_oldest_submit.is_finite() {
-            oldest_inflight_ms = oldest_inflight_ms.max(end - self.absorbed_oldest_submit);
-        }
-        // Profiling counters — pure functions of simulation state, so a
-        // traced run and an untraced run of one configuration produce the
-        // same registry (the trace-neutrality CI gate relies on this; the
-        // tracer's own recorded/dropped tallies deliberately stay out).
-        let mut counters = CounterRegistry::new();
-        counters.add("events_total", self.events);
-        for (i, &c) in self.ev_counts.iter().enumerate() {
-            if c > 0 {
-                counters.add(Ev::LABELS[i], c);
-            }
-        }
-        // High-water marks are per-LP maxima after a sharded merge (the
-        // `absorbed_*` fields are zero in the monolithic engine).
-        counters.add(
-            "sched_heap_hwm",
-            self.sched.high_water().max(self.absorbed_sched_hwm) as u64,
-        );
-        counters.add(
-            "slab_hwm",
-            self.txs.high_water().max(self.absorbed_slab_hwm) as u64,
-        );
-        counters.add(
-            "slab_slots_hwm",
-            self.txs.slots().max(self.absorbed_slab_slots) as u64,
-        );
-        for &seg in &Seg::ALL {
-            let mut total = 0.0;
-            for home in 0..self.nodes.len() {
-                for ty in TxType::ALL {
-                    total += self.stats.phase(home, ty, seg);
-                }
-            }
-            if total > 0.0 {
-                // Whole microseconds: enough resolution for profiling, and
-                // integer counters render identically everywhere.
-                counters.add(
-                    &format!("phase_us_{}", seg.label()),
-                    (total * 1000.0).round() as u64,
-                );
-            }
-        }
-        SimReport {
-            counters,
-            nodes,
-            local_deadlocks: self.stats.local_deadlocks,
-            global_deadlocks: self.stats.global_deadlocks,
-            probe_hops: self.stats.probe_hops,
-            lock_requests,
-            lock_conflicts,
-            cc_rejections,
-            mean_lock_wait_ms: self.stats.lock_wait.mean(),
-            lock_waits_completed: self.stats.lock_wait.count(),
-            crashes: self.stats.crashes,
-            crash_kills: self.stats.crash_kills,
-            recoveries: self.stats.recoveries,
-            net_messages: self.stats.net_messages,
-            net_drops: self.stats.net_drops,
-            net_duplicates: self.stats.net_duplicates,
-            net_retries: self.stats.net_retries,
-            timeout_aborts: self.stats.timeout_aborts,
-            in_doubt_resolutions: self.stats.in_doubt_resolutions,
-            live_at_end,
-            oldest_inflight_ms,
-            events: self.events,
-            audited_records: audited,
-            audit_violations,
-            window_ms: window,
-            availability: AvailabilityReport {
-                partitions: self.stats.partitions,
-                heals: self.stats.heals,
-                partition_ms: self.stats.partition_ms,
-                partition_aborts: self.stats.partition_aborts,
-                blocked_on_heal: self.stats.blocked_on_heal,
-                stale_reads: self.stats.stale_reads,
-                degraded_reads: self.stats.degraded_reads,
-                failovers: self.stats.failovers,
-                catchup_records: self.stats.catchup_records,
-                tx_started: self.tx_started,
-                tx_submit_refusals: self.tx_submit_refusals,
-                tx_killed: self.tx_killed,
-            },
-        }
     }
 }

@@ -236,17 +236,7 @@ impl Sim {
         let now = self.sched.now();
         let token = id.token();
         self.stats.net_messages += 1;
-        if self.tracer.is_some() {
-            let (gid, ty) = {
-                let tx = self.txs.get(id).expect("live tx");
-                (tx.gid, tx.ty)
-            };
-            self.trace(
-                TraceEvent::new(now, TraceKind::NetSend, "send", to as u32, gid, ty)
-                    .lane2(token as u32)
-                    .detail(0),
-            );
-        }
+        self.trace_tx(id, TraceKind::NetSend, "send", to, 0);
         let mut stub = self.spare_txns.pop().unwrap_or_else(Txn::empty);
         let slot = self.txs.get_mut(id).expect("live tx");
         // The ghost keeps identity and census fields; the working state
@@ -407,19 +397,17 @@ impl Sim {
         }
         let token = target.token();
         if self.tracer.is_some() {
+            // The hop is the initiator's, seen at the target's slot here.
             let now = self.sched.now();
-            self.trace(
-                TraceEvent::new(
-                    now,
-                    TraceKind::ProbeHop,
-                    "hop",
-                    owned as u32,
-                    initiator_gid,
-                    ty,
-                )
-                .lane2(token as u32)
-                .detail(target_gid),
+            let hop = TraceEvent::new(
+                now,
+                TraceKind::ProbeHop,
+                "hop",
+                owned as u32,
+                initiator_gid,
+                ty,
             );
+            self.trace(hop.lane2(token as u32).detail(target_gid));
         }
         // The probe only matters while the resident target is blocked
         // here; a running target absorbs it (it will launch fresh probes
@@ -429,29 +417,7 @@ impl Sim {
         }
         if target_gid == initiator_gid {
             // Cycle closed at the (still-blocked) initiator: victim.
-            self.stats.global_deadlocks += 1;
-            let now = self.sched.now();
-            if let Some(tx) = self.txs.get_mut(target) {
-                if let Some(since) = tx.blocked_since.take() {
-                    self.stats.lock_wait.record(now - since);
-                }
-            }
-            self.census_sync(target);
-            if self.tracer.is_some() {
-                self.trace(
-                    TraceEvent::new(
-                        now,
-                        TraceKind::DeadlockVictim,
-                        "probe-cycle",
-                        owned as u32,
-                        initiator_gid,
-                        ty,
-                    )
-                    .lane2(token as u32),
-                );
-            }
-            self.start_abort(target, owned);
-            self.ready.push_back(target);
+            self.close_probe_cycle(target, owned);
             return;
         }
         // Forward along the blocked target's wait-for edges. A next hop
