@@ -118,30 +118,14 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Samples a plan: `n` requests of `records_per_request` uniformly
-    /// random records; remote requests are interleaved among local ones and
-    /// spread round-robin over the other sites (paper §2: requests are the
-    /// unit of distribution).
-    pub fn sample<R: Rng>(
-        rng: &mut R,
-        params: &SystemParams,
-        home: usize,
-        ty: TxType,
-        n_requests: u32,
-    ) -> Plan {
-        let mut plan = Plan {
-            requests: Vec::new(),
-        };
-        Plan::sample_into(rng, params, home, ty, n_requests, &mut plan);
-        plan
-    }
-
-    /// Allocation-free [`sample`](Plan::sample): overwrites `out` in place,
-    /// recycling its request vectors. The engine resamples a plan on every
-    /// submission and restart, so this runs millions of times per sweep.
+    /// Samples a plan into `out`: `n` requests of `records_per_request`
+    /// uniformly random records; remote requests are interleaved among
+    /// local ones and spread round-robin over the other sites (paper §2:
+    /// requests are the unit of distribution).
     ///
-    /// Draws random numbers in exactly the same order as `sample`, so the
-    /// sampled plan is identical for the same RNG state.
+    /// Overwrites `out` in place, recycling its request vectors: the engine
+    /// resamples a plan on every submission and restart, so this runs
+    /// millions of times per sweep.
     pub fn sample_into<R: Rng>(
         rng: &mut R,
         params: &SystemParams,
@@ -360,16 +344,8 @@ pub struct CompileScratch {
 ///
 /// The op sequence mirrors the CARAT message structure (paper §2, Figure 1)
 /// and charges exactly the Table 2 costs the analytical model uses — see
-/// `carat-workload::params` for the shared constants.
-pub fn compile(params: &SystemParams, home: usize, ty: TxType, plan: &Plan) -> Program {
-    let mut prog = Program::with_capacity(16 + plan.requests.len() * 24);
-    let mut scratch = CompileScratch::default();
-    compile_into(params, home, ty, plan, &mut prog, &mut scratch);
-    prog
-}
-
-/// Allocation-free [`compile`]: overwrites `prog` in place, reusing its op
-/// vectors and the caller's scratch.
+/// `carat-workload::params` for the shared constants. Overwrites `prog` in
+/// place, reusing its op vectors and the caller's scratch.
 pub fn compile_into(
     params: &SystemParams,
     home: usize,
@@ -694,14 +670,8 @@ pub fn compile_into(
 }
 
 /// Number of distinct `(site, block)` granules an update plan journals at
-/// `site` — the rollback I/O count for aborts.
-pub fn distinct_blocks_at(plan: &Plan, site: usize) -> u32 {
-    let mut set = std::collections::HashSet::new();
-    distinct_blocks_at_with(plan, site, &mut set)
-}
-
-/// Scratch-buffer variant of [`distinct_blocks_at`] for the engine's abort
-/// path (`set` is cleared first).
+/// `site` — the rollback I/O count for aborts. `set` is the caller's
+/// scratch, cleared first.
 pub fn distinct_blocks_at_with(
     plan: &Plan,
     site: usize,
@@ -728,11 +698,33 @@ mod tests {
         SystemParams::default()
     }
 
+    /// Samples a plan and compiles it, through the engine's in-place forms.
+    fn sample(rng: &mut StdRng, home: usize, ty: TxType, n: u32) -> (Plan, Program) {
+        let p = params();
+        let mut plan = Plan {
+            requests: Vec::new(),
+        };
+        Plan::sample_into(rng, &p, home, ty, n, &mut plan);
+        let mut prog = Program::with_capacity(0);
+        compile_into(
+            &p,
+            home,
+            ty,
+            &plan,
+            &mut prog,
+            &mut CompileScratch::default(),
+        );
+        (plan, prog)
+    }
+
+    fn distinct_blocks_at(plan: &Plan, site: usize) -> u32 {
+        distinct_blocks_at_with(plan, site, &mut std::collections::HashSet::new())
+    }
+
     #[test]
     fn plan_sampling_respects_split() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(42);
-        let plan = Plan::sample(&mut rng, &p, 0, TxType::Du, 8);
+        let (plan, _) = sample(&mut rng, 0, TxType::Du, 8);
         let local = plan.requests.iter().filter(|(s, _)| *s == 0).count();
         let remote = plan.requests.iter().filter(|(s, _)| *s == 1).count();
         assert_eq!((local, remote), (4, 4));
@@ -741,17 +733,15 @@ mod tests {
 
     #[test]
     fn local_plan_stays_home() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(7);
-        let plan = Plan::sample(&mut rng, &p, 1, TxType::Lu, 12);
+        let (plan, _) = sample(&mut rng, 1, TxType::Lu, 12);
         assert!(plan.requests.iter().all(|(s, _)| *s == 1));
     }
 
     #[test]
     fn remote_requests_are_interleaved() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(1);
-        let plan = Plan::sample(&mut rng, &p, 0, TxType::Dro, 4);
+        let (plan, _) = sample(&mut rng, 0, TxType::Dro, 4);
         let sites: Vec<usize> = plan.requests.iter().map(|(s, _)| *s).collect();
         // Bresenham with l = r alternates.
         assert_eq!(sites, vec![0, 1, 0, 1]);
@@ -761,11 +751,9 @@ mod tests {
     fn program_charges_model_visit_counts() {
         // For a local transaction with q distinct granules per request the
         // model's TM visit count is 2n + 1(+init): count UseCpu at TM rate.
-        let p = params();
         let mut rng = StdRng::seed_from_u64(3);
         let n = 8u32;
-        let plan = Plan::sample(&mut rng, &p, 0, TxType::Lro, n);
-        let prog = compile(&p, 0, TxType::Lro, &plan);
+        let (plan, prog) = sample(&mut rng, 0, TxType::Lro, n);
         let tm_acquires = prog
             .ops
             .iter()
@@ -795,10 +783,8 @@ mod tests {
 
     #[test]
     fn update_transaction_has_triple_ios_and_commit_force() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(3);
-        let plan = Plan::sample(&mut rng, &p, 1, TxType::Lu, 4);
-        let prog = compile(&p, 1, TxType::Lu, &plan);
+        let (plan, prog) = sample(&mut rng, 1, TxType::Lu, 4);
         let distinct = distinct_blocks_at(&plan, 1);
         let ios: u32 = prog
             .ops
@@ -818,10 +804,8 @@ mod tests {
 
     #[test]
     fn distributed_update_runs_full_2pc() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(9);
-        let plan = Plan::sample(&mut rng, &p, 0, TxType::Du, 8);
-        let prog = compile(&p, 0, TxType::Du, &plan);
+        let (plan, prog) = sample(&mut rng, 0, TxType::Du, 8);
         assert!(prog
             .ops
             .iter()
@@ -849,10 +833,8 @@ mod tests {
 
     #[test]
     fn dro_skips_forced_writes() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(11);
-        let plan = Plan::sample(&mut rng, &p, 0, TxType::Dro, 8);
-        let prog = compile(&p, 0, TxType::Dro, &plan);
+        let (_, prog) = sample(&mut rng, 0, TxType::Dro, 8);
         assert!(!prog
             .ops
             .iter()
@@ -866,14 +848,12 @@ mod tests {
 
     #[test]
     fn standard_workloads_compile() {
-        let p = params();
         let mut rng = StdRng::seed_from_u64(5);
         for w in StandardWorkload::ALL {
             let spec = w.spec(2);
             for node in 0..2 {
                 for &(t, _) in &spec.users[node] {
-                    let plan = Plan::sample(&mut rng, &p, node, t, 12);
-                    let prog = compile(&p, node, t, &plan);
+                    let (_, prog) = sample(&mut rng, node, t, 12);
                     assert!(matches!(prog.ops.last(), Some(Op::End)));
                     assert_eq!(prog.ops.len(), prog.segs.len());
                 }
