@@ -206,7 +206,9 @@ fn partitioned_run(
 /// room. This sweeps the simulator's partition plan instead: a scheduled
 /// split covering a known fraction of the measurement window (the *duty
 /// cycle*), crossed with the replication factor and the degradation
-/// policy (`abort` / `block` / `stale`). No model prices a split: the
+/// policy (`abort` / `block` / `stale`). At duty 0 there is no split, so
+/// no policy is ever consulted: that point runs once per replication
+/// factor, labelled `abort`. No model prices a split: the
 /// paper's model assumes a connected cluster (EXPERIMENTS.md says why a
 /// duty-cycle blend fails).
 ///
@@ -232,6 +234,7 @@ pub fn partition(args: &Args, ms: f64) {
                 .iter()
                 .flat_map(move |&k| DUTIES.iter().map(move |&d| (p, k, d)))
         })
+        .filter(|&(p, _, d)| d > 0.0 || p == DegradationPolicy::Abort)
         .collect();
     let reports = per_seed(&points, args, |(policy, replication, duty), seed| {
         partitioned_run(2, &[0, 1], policy, replication, duty, seed, ms)

@@ -45,13 +45,14 @@ fn partition_passes_its_gates_at_the_default_window() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     // A JSON array, one object per line: 3 policies × 2 replication
-    // factors × 3 duties, then the 3-site catch-up row.
+    // factors × 2 split duties, one unsplit row per replication factor,
+    // then the 3-site catch-up row.
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 21, "{stdout}");
-    assert_eq!((lines[0], lines[20]), ("[", "]"));
-    assert!(lines[1..20].iter().all(|l| l.starts_with("  {")));
+    assert_eq!(lines.len(), 17, "{stdout}");
+    assert_eq!((lines[0], lines[16]), ("[", "]"));
+    assert!(lines[1..16].iter().all(|l| l.starts_with("  {")));
     assert!(!stdout.contains("model_tx_per_s"), "{stdout}");
-    let three_sites = lines[19];
+    let three_sites = lines[15];
     assert!(three_sites.contains("\"sites\": 3"), "{three_sites}");
     let catchup = three_sites.split("\"catchup_records\": ").nth(1).unwrap();
     let catchup: u64 = catchup.split(',').next().unwrap().parse().unwrap();
