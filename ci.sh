@@ -93,21 +93,32 @@ echo "== partition determinism gate"
 cargo run --release -p carat-bench --bin exp -- partition --threads 4 > "${TMPDIR:-/tmp}/part_par.json"
 cargo run --release -p carat-bench --bin exp -- partition --sequential > "${TMPDIR:-/tmp}/part_seq.json"
 cmp "${TMPDIR:-/tmp}/part_par.json" "${TMPDIR:-/tmp}/part_seq.json"
-echo "== trace neutrality gate"
 # Tracing must not change a single report byte, and two traced runs of one
 # configuration must produce byte-identical trace files (DESIGN.md §10.1).
-cargo run --release -p carat-cli -- sim --workload lb8 --n 8 --measure-s 60 > "${TMPDIR:-/tmp}/report_off.txt"
-cargo run --release -p carat-cli -- sim --workload lb8 --n 8 --measure-s 60 --trace "${TMPDIR:-/tmp}/trace_a.json" > "${TMPDIR:-/tmp}/report_on.txt"
-cmp "${TMPDIR:-/tmp}/report_off.txt" "${TMPDIR:-/tmp}/report_on.txt"
-cargo run --release -p carat-cli -- sim --workload lb8 --n 8 --measure-s 60 --trace "${TMPDIR:-/tmp}/trace_b.json" > /dev/null
-cmp "${TMPDIR:-/tmp}/trace_a.json" "${TMPDIR:-/tmp}/trace_b.json"
+# $1 names the gate and its scratch files; the remaining arguments are the
+# `carat-cli sim` flags.
+trace_gate() {
+  name=$1
+  shift
+  echo "== $name neutrality gate"
+  cargo run --release -p carat-cli -- sim "$@" > "${TMPDIR:-/tmp}/${name}_off.txt"
+  cargo run --release -p carat-cli -- sim "$@" --trace "${TMPDIR:-/tmp}/${name}_a.json" > "${TMPDIR:-/tmp}/${name}_on.txt"
+  cmp "${TMPDIR:-/tmp}/${name}_off.txt" "${TMPDIR:-/tmp}/${name}_on.txt"
+  cargo run --release -p carat-cli -- sim "$@" --trace "${TMPDIR:-/tmp}/${name}_b.json" > /dev/null
+  cmp "${TMPDIR:-/tmp}/${name}_a.json" "${TMPDIR:-/tmp}/${name}_b.json"
+}
+# Two-site LB8 runs on the separable sharded engine; MB4 with probes at
+# α = 0 runs on the monolithic engine, whose emission sites LB8 never
+# reaches.
+trace_gate trace --workload lb8 --n 8 --measure-s 60
+trace_gate trace_monolithic --workload mb4 --n 8 --probes --measure-s 60
 echo "== metrics neutrality gate"
 # The metrics recorder must not change a single stdout report byte, and
 # every export of the series must be byte-identical for every shard count
 # on both sharded paths, the coupled cross-site engine and the separable
 # one (DESIGN.md §15).
 cargo run --release -p carat-cli -- sim --workload lb8 --n 8 --measure-s 60 --metrics 10 > "${TMPDIR:-/tmp}/report_metrics_on.txt" 2> /dev/null
-cmp "${TMPDIR:-/tmp}/report_off.txt" "${TMPDIR:-/tmp}/report_metrics_on.txt"
+cmp "${TMPDIR:-/tmp}/trace_off.txt" "${TMPDIR:-/tmp}/report_metrics_on.txt"
 # $1 names the scratch files, $2 is the export extension; the remaining
 # arguments are the `carat-cli sim` flags.
 metrics_gate() {
