@@ -110,13 +110,16 @@ impl Sim {
     }
 
     /// Ends `id`'s lock wait, if it is in one: the one place a lock wait
-    /// ends. Records the wait and resyncs the census; returns the wait.
-    pub(super) fn end_lock_wait(&mut self, id: TxId) -> Option<f64> {
-        let since = self.txs.get_mut(id)?.blocked_since.take()?;
+    /// ends, whether a grant, a retry, a victim's abort or a crash ends it.
+    /// Records the wait, charges it to the LW phase and resyncs the census.
+    pub(super) fn end_lock_wait(&mut self, id: TxId) {
+        let Some(since) = self.txs.get_mut(id).and_then(|tx| tx.blocked_since.take()) else {
+            return;
+        };
         let waited = self.sched.now() - since;
         self.stats.lock_wait.record(waited);
+        self.charge(id, Seg::Lw, waited);
         self.census_sync(id);
-        Some(waited)
     }
 
     /// `locks.release_all` + wake at `site`, through the reusable wake
@@ -175,9 +178,7 @@ impl Sim {
             let home = tx.home;
             tx.pc += 1;
             self.ready.push_back(id);
-            if let Some(waited) = self.end_lock_wait(id) {
-                self.charge(id, Seg::Lw, waited);
-            }
+            self.end_lock_wait(id);
             self.trace_tx(id, TraceKind::LockGrant, "grant", home, block as u64);
         }
     }
@@ -197,9 +198,7 @@ impl Sim {
             );
             let home = tx.home;
             self.ready.push_back(id);
-            if let Some(waited) = self.end_lock_wait(id) {
-                self.charge(id, Seg::Lw, waited);
-            }
+            self.end_lock_wait(id);
             self.trace_tx(id, TraceKind::LockGrant, "retry", home, 0);
         }
     }
@@ -349,9 +348,7 @@ impl Sim {
         if let Some(site) = self.blocked_site(victim.token()) {
             self.cancel_lock_request(site, victim.token());
         }
-        if let Some(waited) = self.end_lock_wait(victim) {
-            self.charge(victim, Seg::Lw, waited);
-        }
+        self.end_lock_wait(victim);
         let home = self.txs.get(victim).expect("live victim").home;
         self.trace_tx(victim, TraceKind::DeadlockVictim, "deadlock", home, 0);
         self.start_abort_program(victim);

@@ -158,12 +158,12 @@ fn monolithic_report_and_trace_bytes_are_pinned() {
 const PINNED: &[&str] = &[
     "instant-requester: events 5743 report 6cd7ff1eb4656d40 trace 3de105c83b2d71f1",
     "instant-youngest: events 5767 report 93c5466b03158837 trace 1784edb9cf9c34d1",
-    "probes-alpha0: events 5791 report c5cc9ecda2c14d58 trace 21babce5de85dabb",
+    "probes-alpha0: events 5791 report c5cc9ecda2c14d58 trace 6e4e63fc03e0f9c9",
     "bto: events 6716 report 024dbfd0cef7b034 trace 0b54562189f90030",
     "thomas: events 6716 report 024dbfd0cef7b034 trace 0b54562189f90030",
     "separate-log: events 5842 report 7b0040a009734c32 trace 53aae340a96a2f67",
     "dm-pool-2: events 1731 report 0cd4b352c8ef3720 trace 29cbac79919353e9",
-    "scheduled-crash: events 6295 report 547b14e5ed16f2dd trace 7e90e10d97333448",
+    "scheduled-crash: events 6295 report f669fe331a15b844 trace 12a2ba736baa7d9f",
     "crash-restart: events 8885 report 9664754c89c0a022 trace f915f75176179a0c",
     "drop-dup-jitter: events 7140 report 5e1464fb107ee33a trace c05383ec8c0248e7",
     "split-abort: events 5007 report e61e3ae0297306f2 trace 0c5df75a51c02eae",

@@ -177,3 +177,54 @@ fn recorded_utilization_state_evaluates_like_the_station() {
         }
     }
 }
+
+/// Every lock wait that ends is charged to the LW phase: the `LW`
+/// residence equals the recorded lock waits, whatever ended them — a
+/// grant, a TSO retry, a youngest-victim abort, a probe cycle's victim,
+/// or a crash that wiped the lock table the waiter queued in.
+#[test]
+fn every_ended_lock_wait_is_charged_to_lw() {
+    use carat_sim::shard::coupled_eligible;
+    use carat_sim::DeadlockMode;
+
+    // MB8 at n = 16 with α = 5 ms and probe messages.
+    let probes = || {
+        let mut c = SimConfig::new(StandardWorkload::Mb8.spec(2), 16, 13);
+        c.params.comm_delay_ms = 5.0;
+        c.deadlock_mode = DeadlockMode::Probes;
+        c.warmup_ms = 1_000.0;
+        c.measure_ms = 120_000.0;
+        c
+    };
+    let coupled = probes();
+    assert!(coupled_eligible(&coupled));
+    // A crash after the window forces the monolithic engine.
+    let mut monolithic = probes();
+    monolithic.crashes = vec![(1e9, 0)];
+    assert!(!coupled_eligible(&monolithic));
+    // The crash at 10 s strands a lock waiter at node A.
+    let mut crash = SimConfig::new(StandardWorkload::Mb8.spec(2), 16, 11);
+    crash.warmup_ms = 1_000.0;
+    crash.measure_ms = 30_000.0;
+    crash.crashes = vec![(10_000.0, 0)];
+
+    for (name, cfg, probed) in [
+        ("monolithic probes", monolithic, true),
+        ("coupled probes", coupled, true),
+        ("crash", crash, false),
+    ] {
+        let r = Sim::new(cfg).expect("valid config").run();
+        assert!(
+            !probed || r.global_deadlocks > 0,
+            "{name}: no probe cycle closed"
+        );
+        let waits = r.lock_waits_completed;
+        assert!(waits > 0, "{name}: no lock wait ended");
+        let recorded_us = r.mean_lock_wait_ms * waits as f64 * 1_000.0;
+        let charged_us = r.counters.get("phase_us_LW") as f64;
+        assert!(
+            (charged_us - recorded_us).abs() <= waits as f64,
+            "{name}: LW charged {charged_us} µs, lock waits recorded {recorded_us} µs over {waits} waits"
+        );
+    }
+}
