@@ -282,7 +282,7 @@ impl NodeState {
 }
 
 /// A live transaction (one submission). `pub(crate)` only so [`XMsg`] can
-/// name it; the fields stay private to this module.
+/// name it; the fields stay private to the engine and its layers.
 pub(crate) struct Txn {
     /// Monotone global id: the TSO timestamp, the youngest-victim age, the
     /// storage engine's transaction key, and the audit value — everything
